@@ -1,88 +1,42 @@
-"""Block-adaptive image binarization with continuity-constrained thresholds."""
+"""Block-adaptive image binarization with continuity-constrained thresholds.
 
-from .engine import (
-    BlockGrid,
-    LabtConfig,
-    LabtResult,
-    Range,
-    choose_grid,
-    clamp_to_range,
-    effective_range,
-    neighbor_range,
-    resolve_empty,
-    run_labt,
-)
-from .image_core import (
-    PgmError,
-    as_gray,
-    crop,
-    flip_horizontal,
-    flip_vertical,
-    histogram,
-    pad_to_multiple,
-    read_pgm,
-    variance,
-    write_pgm,
-)
-from .metrics import (
-    MethodReport,
-    SweepRow,
-    continuity_violations,
-    mean_range_width,
-    psnr,
-    sweep,
-    time_run,
-)
-from .multiscan import MultiscanResult, or_masks, run_multiscan
+The package exports the user-facing API; engine internals such as
+``choose_grid`` or ``neighbor_range`` stay importable from their modules
+(``labt.engine``, ``labt.image_core``, ``labt.thresholders``, ...).
+"""
+
+from .engine import LabtConfig, LabtResult, run_labt
+from .image_core import PgmError, read_pgm, write_pgm
+from .metrics import continuity_violations, mean_range_width, psnr, sweep
+from .multiscan import MultiscanResult, run_multiscan
 from .thresholders import (
     Adcdf,
     MeanK,
     NiblackParams,
     Otsu,
-    ThresholdMethod,
     binarize_global,
     niblack_binarize,
-    select_threshold,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Adcdf",
-    "BlockGrid",
     "LabtConfig",
     "LabtResult",
     "MeanK",
-    "MethodReport",
     "MultiscanResult",
     "NiblackParams",
     "Otsu",
     "PgmError",
-    "Range",
-    "SweepRow",
-    "ThresholdMethod",
-    "as_gray",
     "binarize_global",
-    "choose_grid",
-    "clamp_to_range",
     "continuity_violations",
-    "crop",
-    "effective_range",
-    "flip_horizontal",
-    "flip_vertical",
-    "histogram",
     "mean_range_width",
-    "neighbor_range",
     "niblack_binarize",
-    "or_masks",
-    "pad_to_multiple",
     "psnr",
     "read_pgm",
-    "resolve_empty",
     "run_labt",
-    "select_threshold",
+    "run_multiscan",
     "sweep",
-    "time_run",
-    "variance",
     "write_pgm",
 ]

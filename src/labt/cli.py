@@ -8,25 +8,18 @@ import math
 import re
 import sys
 from pathlib import Path
+from time import perf_counter
 
-from .engine import LabtConfig, run_labt
-from .image_core import (
-    PgmError,
-    flip_horizontal,
-    flip_vertical,
-    histogram,
-    read_pgm,
-    write_pgm,
-)
+from .engine import LabtConfig, LabtResult, run_labt
+from .image_core import PgmError, histogram, read_pgm, write_pgm
 from .metrics import (
     MethodReport,
     continuity_violations,
     mean_range_width,
     psnr,
     sweep,
-    time_run,
 )
-from .multiscan import or_masks, run_multiscan
+from .multiscan import ORIENTATIONS, or_masks, run_multiscan
 from .thresholders import (
     Adcdf,
     MeanK,
@@ -149,6 +142,11 @@ def _block_config(args) -> LabtConfig:
         method = MeanK(k=args.k)
     else:
         raise ValueError(f"{args.method} is not a block thresholder")
+    return _labt_config(args, method)
+
+
+def _labt_config(args, method) -> LabtConfig:
+    """The block, mode and seeding options of ``args`` around ``method``."""
     block_w, block_h = args.block if args.block else (None, None)
     return LabtConfig(
         method=method,
@@ -163,11 +161,10 @@ def _cmd_binarize(args) -> int:
     img = _read_image(args.input)
     if args.method == "niblack":
         params = NiblackParams(window=args.window, k=args.k)
-        masks = [niblack_binarize(img, params)]
-        if args.multiscan:
-            masks.append(flip_vertical(niblack_binarize(flip_vertical(img), params)))
-            masks.append(flip_horizontal(niblack_binarize(flip_horizontal(img), params)))
-        binary = or_masks(masks)
+        orientations = ORIENTATIONS if args.multiscan else ORIENTATIONS[:1]
+        binary = or_masks(
+            [orient(niblack_binarize(orient(img), params)) for orient in orientations]
+        )
         out_of_range = non_overlap = 0
     else:
         cfg = _block_config(args)
@@ -211,59 +208,34 @@ def _cmd_compare(args) -> int:
     img = _read_image(args.input)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    reports: list[MethodReport] = []
-
-    state: dict[str, object] = {}
-
-    def global_otsu_job() -> None:
-        state["binary"] = binarize_global(img, select_threshold(Otsu(), histogram(img)))
-
-    elapsed = time_run(global_otsu_job)
-    binary = state["binary"]
-    (outdir / "global_otsu.pgm").write_bytes(write_pgm(binary))
-    reports.append(
-        MethodReport("global_otsu", psnr(img, binary), elapsed, 0, 0, 256.0, 0)
-    )
-
     params = NiblackParams(window=args.window, k=args.k)
+    otsu_cfg = _labt_config(args, Otsu())
+    adcdf_cfg = _labt_config(args, Adcdf(rho=args.rho))
+    jobs = [
+        ("global_otsu", lambda: binarize_global(img, select_threshold(Otsu(), histogram(img)))),
+        ("niblack", lambda: niblack_binarize(img, params)),
+        ("labt_otsu", lambda: run_labt(img, otsu_cfg)),
+        ("labt_adcdf", lambda: run_labt(img, adcdf_cfg)),
+    ]
 
-    def niblack_job() -> None:
-        state["binary"] = niblack_binarize(img, params)
-
-    elapsed = time_run(niblack_job)
-    binary = state["binary"]
-    (outdir / "niblack.pgm").write_bytes(write_pgm(binary))
-    reports.append(MethodReport("niblack", psnr(img, binary), elapsed, 0, 0, 256.0, 0))
-
-    block_w, block_h = args.block if args.block else (None, None)
-    for name, method in [("labt_otsu", Otsu()), ("labt_adcdf", Adcdf(rho=args.rho))]:
-        cfg = LabtConfig(
-            method=method,
-            block_w=block_w,
-            block_h=block_h,
-            mode=args.mode,
-            seed_global=args.seed_global,
-        )
-
-        def labt_job() -> None:
-            state["result"] = run_labt(img, cfg)
-
-        elapsed = time_run(labt_job)
-        result = state["result"]
-        (outdir / f"{name}.pgm").write_bytes(write_pgm(result.binary))
-        reports.append(
-            MethodReport(
-                method=name,
-                psnr_db=psnr(img, result.binary),
-                elapsed_s=elapsed,
-                out_of_range_count=result.out_of_range_count,
-                non_overlap_count=result.non_overlap_count,
-                mean_range_width=mean_range_width(result),
-                continuity_violations=continuity_violations(
-                    result, result.grid, result.padded
-                ),
+    reports: list[MethodReport] = []
+    for name, job in jobs:
+        start = perf_counter()
+        out = job()
+        elapsed = perf_counter() - start
+        if isinstance(out, LabtResult):
+            binary = out.binary
+            stats = (
+                out.out_of_range_count,
+                out.non_overlap_count,
+                mean_range_width(out),
+                continuity_violations(out),
             )
-        )
+        else:
+            # methods without block constraints: no events, full-range width
+            binary, stats = out, (0, 0, 256.0, 0)
+        (outdir / f"{name}.pgm").write_bytes(write_pgm(binary))
+        reports.append(MethodReport(name, psnr(img, binary), elapsed, *stats))
 
     csv_path = Path(args.csv) if args.csv else outdir / "report.csv"
     _write_report_csv(csv_path, reports)

@@ -231,7 +231,7 @@ def run_labt(img, cfg: LabtConfig = LabtConfig()) -> LabtResult:
     arr = as_gray(img)
     override = None if cfg.block_w is None else (cfg.block_w, cfg.block_h)
     grid = choose_grid(arr, override)
-    padded, (orig_w, orig_h) = pad_to_multiple(arr, grid.block_w, grid.block_h)
+    padded = pad_to_multiple(arr, grid.block_w, grid.block_h)
 
     rows, cols = grid.rows, grid.cols
     bw, bh = grid.block_w, grid.block_h
@@ -295,7 +295,7 @@ def run_labt(img, cfg: LabtConfig = LabtConfig()) -> LabtResult:
             labels[ys : ys + bh, xs : xs + bw] = block >= t
 
     return LabtResult(
-        binary=labels[:orig_h, :orig_w].copy(),
+        binary=labels[: arr.shape[0], : arr.shape[1]].copy(),
         base_thresholds=base,
         thresholds=final,
         range_lo=range_lo,

@@ -1,4 +1,4 @@
-"""Grayscale/binary image primitives: PGM I/O, flips, padding, statistics.
+"""Grayscale/binary image primitives: PGM I/O, padding, statistics.
 
 Conventions used across the package:
 
@@ -19,10 +19,7 @@ __all__ = [
     "as_gray",
     "read_pgm",
     "write_pgm",
-    "flip_vertical",
-    "flip_horizontal",
     "pad_to_multiple",
-    "crop",
     "histogram",
     "variance",
 ]
@@ -110,6 +107,14 @@ def read_pgm(data: bytes) -> np.ndarray:
             )
         return np.frombuffer(payload, dtype=np.uint8).reshape(height, width).copy()
 
+    # each sample needs a digit and a separator before it, so a header
+    # claiming more samples than the rest of the file can hold is rejected
+    # before anything is allocated for them
+    if len(buf) - pos < 2 * count:
+        raise PgmError(
+            f"truncated payload: expected {count} samples, "
+            f"but only {len(buf) - pos} bytes follow the header"
+        )
     samples = np.empty(count, dtype=np.uint8)
     for i in range(count):
         try:
@@ -145,29 +150,10 @@ def write_pgm(img) -> bytes:
     return b"P5\n%d %d\n255\n" % (width, height) + arr.tobytes()
 
 
-def flip_vertical(img) -> np.ndarray:
-    """Reverse row order (row r becomes row height-1-r)."""
-    arr = np.asarray(img)
-    if arr.ndim != 2:
-        raise ValueError("expected a 2-D image")
-    return arr[::-1].copy()
-
-
-def flip_horizontal(img) -> np.ndarray:
-    """Reverse column order (column c becomes column width-1-c)."""
-    arr = np.asarray(img)
-    if arr.ndim != 2:
-        raise ValueError("expected a 2-D image")
-    return arr[:, ::-1].copy()
-
-
-def pad_to_multiple(
-    img, block_w: int, block_h: int
-) -> tuple[np.ndarray, tuple[int, int]]:
+def pad_to_multiple(img, block_w: int, block_h: int) -> np.ndarray:
     """Grow an image to the next multiple of the block size by edge replication.
 
-    Returns ``(padded, (width, height))`` where the second item records the
-    original dimensions for a later :func:`crop`.
+    The original image is the top-left ``img.shape`` corner of the result.
     """
     arr = as_gray(img)
     if block_w < 1 or block_h < 1:
@@ -179,20 +165,7 @@ def pad_to_multiple(
         padded = np.pad(arr, ((0, extra_h), (0, extra_w)), mode="edge")
     else:
         padded = arr.copy()
-    return padded, (width, height)
-
-
-def crop(img, width: int, height: int) -> np.ndarray:
-    """Return the top-left width x height sub-rectangle."""
-    arr = np.asarray(img)
-    if arr.ndim != 2:
-        raise ValueError("expected a 2-D image")
-    if not (1 <= width <= arr.shape[1] and 1 <= height <= arr.shape[0]):
-        raise ValueError(
-            f"crop {width}x{height} out of bounds for "
-            f"{arr.shape[1]}x{arr.shape[0]} image"
-        )
-    return arr[:height, :width].copy()
+    return padded
 
 
 def histogram(img) -> np.ndarray:

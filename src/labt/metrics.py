@@ -1,15 +1,14 @@
-"""Quantitative evaluation: PSNR, continuity checks, sweeps, timing."""
+"""Quantitative evaluation: PSNR, continuity checks, sweeps."""
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .engine import BlockGrid, LabtConfig, LabtResult, run_labt
+from .engine import LabtConfig, LabtResult, run_labt
 from .image_core import as_gray
 
 __all__ = [
@@ -19,7 +18,6 @@ __all__ = [
     "mean_range_width",
     "continuity_violations",
     "sweep",
-    "time_run",
 ]
 
 
@@ -67,7 +65,7 @@ def mean_range_width(result: LabtResult) -> float:
     return float((result.range_hi - result.range_lo + 1).mean())
 
 
-def continuity_violations(result: LabtResult, grid: BlockGrid, padded) -> int:
+def continuity_violations(result: LabtResult) -> int:
     """Count border pixels labeled differently by adjacent block thresholds.
 
     For every block, its top border row is classified with its own
@@ -75,7 +73,7 @@ def continuity_violations(result: LabtResult, grid: BlockGrid, padded) -> int:
     its own and the left neighbor's; each differing pixel counts once.
     Strict-mode runs without non-overlap events always score zero.
     """
-    arr = np.asarray(padded)
+    arr, grid = result.padded, result.grid
     t = result.thresholds
     bw, bh = grid.block_w, grid.block_h
     count = 0
@@ -107,9 +105,3 @@ def sweep(img, cfg: LabtConfig, block_sizes: Sequence[int]) -> list[SweepRow]:
         )
     return rows
 
-
-def time_run(task: Callable[[], object]) -> float:
-    """Monotonic wall-clock seconds spent executing ``task()``."""
-    start = time.perf_counter()
-    task()
-    return time.perf_counter() - start

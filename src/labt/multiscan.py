@@ -17,15 +17,19 @@ from typing import Sequence
 import numpy as np
 
 from .engine import LabtConfig, LabtResult, run_labt
-from .image_core import flip_horizontal, flip_vertical
 
-__all__ = ["MultiscanResult", "or_masks", "run_multiscan"]
+__all__ = ["ORIENTATIONS", "MultiscanResult", "or_masks", "run_multiscan"]
+
+# Identity, vertical flip, horizontal flip. Each is its own inverse, so the
+# same function maps an image into its orientation and the labels back.
+ORIENTATIONS = (np.asarray, np.flipud, np.fliplr)
 
 
 @dataclass(frozen=True)
 class MultiscanResult:
     """Union mask plus the three per-orientation masks (already flipped
-    back) and their full run records."""
+    back) and their full run records. Each ``per_scan`` mask is a view of
+    its run's ``binary``."""
 
     combined: np.ndarray
     per_scan: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -44,16 +48,6 @@ def or_masks(masks: Sequence[np.ndarray]) -> np.ndarray:
 
 def run_multiscan(img, cfg: LabtConfig = LabtConfig()) -> MultiscanResult:
     """Run the block thresholder in three orientations and OR the results."""
-    identity = run_labt(img, cfg)
-    flipped_v = run_labt(flip_vertical(img), cfg)
-    flipped_h = run_labt(flip_horizontal(img), cfg)
-    scans = (
-        identity.binary,
-        flip_vertical(flipped_v.binary),
-        flip_horizontal(flipped_h.binary),
-    )
-    return MultiscanResult(
-        combined=or_masks(scans),
-        per_scan=scans,
-        runs=(identity, flipped_v, flipped_h),
-    )
+    runs = tuple(run_labt(orient(img), cfg) for orient in ORIENTATIONS)
+    scans = tuple(orient(run.binary) for orient, run in zip(ORIENTATIONS, runs))
+    return MultiscanResult(combined=or_masks(scans), per_scan=scans, runs=runs)

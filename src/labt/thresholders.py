@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -47,11 +47,19 @@ class Adcdf:
             raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
 
 
+def _check_finite_k(k: float) -> None:
+    if not math.isfinite(k):
+        raise ValueError(f"k must be finite, got {k}")
+
+
 @dataclass(frozen=True)
 class MeanK:
     """Threshold at round(mean + k * stddev), clamped to 0..255."""
 
     k: float = -0.2
+
+    def __post_init__(self) -> None:
+        _check_finite_k(self.k)
 
 
 ThresholdMethod = Union[Otsu, Adcdf, MeanK]
@@ -65,6 +73,7 @@ class NiblackParams:
     def __post_init__(self) -> None:
         if self.window < 3 or self.window % 2 == 0:
             raise ValueError(f"window must be odd and >= 3, got {self.window}")
+        _check_finite_k(self.k)
 
 
 def _round_half_away(x: float) -> int:
@@ -102,17 +111,12 @@ def _otsu_threshold(counts: np.ndarray) -> int:
     return best_t
 
 
-def select_threshold(
-    method: ThresholdMethod,
-    hist: np.ndarray,
-    mean: Optional[float] = None,
-    std: Optional[float] = None,
-) -> int:
+def select_threshold(method: ThresholdMethod, hist: np.ndarray) -> int:
     """Pick a threshold in 0..255 for the region described by ``hist``.
 
-    ``mean``/``std`` may be supplied for :class:`MeanK`; when omitted they
-    are derived from the histogram (population statistics). A region with a
-    single intensity returns that intensity regardless of method.
+    :class:`MeanK` uses the population mean and stddev of the histogram. A
+    region with a single intensity returns that intensity regardless of
+    method.
     """
     counts = np.asarray(hist, dtype=np.int64)
     if counts.shape != (256,) or (counts < 0).any():
@@ -131,11 +135,9 @@ def select_threshold(
         first = int(np.argmax(cdf >= method.rho * total))
         return min(first + 1, 255)
     if isinstance(method, MeanK):
-        if mean is None:
-            mean = float(np.dot(np.arange(256), counts)) / total
-        if std is None:
-            sq = float(np.dot(np.arange(256) ** 2, counts)) / total
-            std = math.sqrt(max(sq - mean * mean, 0.0))
+        mean = float(np.dot(np.arange(256), counts)) / total
+        sq = float(np.dot(np.arange(256) ** 2, counts)) / total
+        std = math.sqrt(max(sq - mean * mean, 0.0))
         return min(max(_round_half_away(mean + method.k * std), 0), 255)
     raise TypeError(f"unknown threshold method {method!r}")
 

@@ -3,9 +3,11 @@ import sys
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
 from labt.cli import main
 from labt.image_core import read_pgm, write_pgm
+from labt.thresholders import NiblackParams, niblack_binarize
 
 
 @pytest.fixture
@@ -66,6 +68,29 @@ class TestBinarize:
         rc = main(["binarize", str(inp), str(out), "--method", "niblack", "--window", "7"])
         assert rc == 0
         assert "out_of_range_count=0" in capsys.readouterr().out
+
+    def test_niblack_multiscan_is_or_of_flipped_back_scans(self, doc_image, tmp_path):
+        inp, img = doc_image
+        out = tmp_path / "o.pgm"
+        args = ["binarize", str(inp), str(out), "--method", "niblack", "--window", "7"]
+        assert main(args + ["--multiscan"]) == 0
+        params = NiblackParams(window=7, k=-0.2)
+        expected = (
+            niblack_binarize(img, params)
+            | niblack_binarize(img[::-1], params)[::-1]
+            | niblack_binarize(img[:, ::-1], params)[:, ::-1]
+        )
+        assert_array_equal(read_pgm(out.read_bytes()), np.where(expected, 255, 0))
+
+    @pytest.mark.parametrize("method", ["meank", "niblack"])
+    def test_infinite_k_fails_with_one_error_line(self, doc_image, tmp_path, capsys, method):
+        inp, _ = doc_image
+        out = tmp_path / "o.pgm"
+        rc = main(["binarize", str(inp), str(out), "--method", method, "--k", "inf"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: k must be finite") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_paper_mode_and_no_global_seed_accepted(self, doc_image, tmp_path):
         inp, _ = doc_image

@@ -237,7 +237,7 @@ class TestRunLabt:
             img = rng.integers(0, 256, (30, 30), dtype=np.uint8)
             res = run_labt(img, LabtConfig(block_w=5, block_h=5, mode="strict"))
             if res.non_overlap_count == 0:
-                assert continuity_violations(res, res.grid, res.padded) == 0
+                assert continuity_violations(res) == 0
 
     def test_paper_mode_violations_only_at_exempt_pixels(self, rng):
         for _ in range(20):

@@ -7,16 +7,16 @@ from numpy.testing import assert_array_equal
 
 from labt.image_core import (
     PgmError,
-    crop,
-    flip_horizontal,
-    flip_vertical,
     histogram,
     pad_to_multiple,
     read_pgm,
     variance,
     write_pgm,
 )
+from labt.multiscan import ORIENTATIONS
 from oracles import variance_two_pass
+
+identity, flip_vertical, flip_horizontal = ORIENTATIONS
 
 small_images = arrays(np.uint8, st.tuples(st.integers(1, 24), st.integers(1, 24)))
 
@@ -67,6 +67,30 @@ class TestReadPgm:
         with pytest.raises(PgmError, match="sample"):
             read_pgm(b"P2 1 1 100 150")
 
+    def test_p2_header_larger_than_payload_rejected_up_front(self):
+        # 10^12 samples cannot fit in the six bytes that follow the header
+        with pytest.raises(PgmError, match="truncated payload"):
+            read_pgm(b"P2 1000000 1000000 255 1 2 3")
+
+    @given(
+        st.one_of(
+            st.binary(max_size=64),
+            st.builds(bytes.__add__, st.sampled_from([b"P2 ", b"P5 "]), st.binary(max_size=64)),
+            st.builds(
+                lambda magic, dims, rest: magic + dims.encode() + rest,
+                st.sampled_from([b"P2 ", b"P5 "]),
+                st.from_regex(r"[0-9]{1,7} [0-9]{1,7} [0-9]{1,4}\s", fullmatch=True),
+                st.binary(max_size=32),
+            ),
+        )
+    )
+    def test_arbitrary_bytes_raise_only_pgm_error(self, data):
+        try:
+            img = read_pgm(data)
+        except PgmError:
+            return
+        assert img.dtype == np.uint8 and img.ndim == 2
+
 
 class TestWritePgm:
     def test_gray_exact_bytes(self):
@@ -107,8 +131,9 @@ class TestFlips:
 
     @given(small_images)
     def test_involutions_and_commutation(self, img):
-        assert_array_equal(flip_vertical(flip_vertical(img)), img)
-        assert_array_equal(flip_horizontal(flip_horizontal(img)), img)
+        assert_array_equal(identity(img), img)
+        for orient in ORIENTATIONS:
+            assert_array_equal(orient(orient(img)), img)
         assert_array_equal(
             flip_vertical(flip_horizontal(img)), flip_horizontal(flip_vertical(img))
         )
@@ -121,8 +146,7 @@ class TestFlips:
 class TestPadCrop:
     def test_pad_replicates_edges(self):
         img = np.arange(25, dtype=np.uint8).reshape(5, 5)
-        padded, (w, h) = pad_to_multiple(img, 4, 4)
-        assert (w, h) == (5, 5)
+        padded = pad_to_multiple(img, 4, 4)
         assert padded.shape == (8, 8)
         for c in range(5, 8):
             assert_array_equal(padded[:, c], padded[:, 4])
@@ -132,25 +156,19 @@ class TestPadCrop:
 
     def test_pad_noop_when_already_multiple(self):
         img = np.zeros((8, 8), np.uint8)
-        padded, _ = pad_to_multiple(img, 4, 4)
+        padded = pad_to_multiple(img, 4, 4)
         assert padded.shape == (8, 8)
+        assert padded is not img
 
     def test_pad_single_pixel(self):
-        padded, _ = pad_to_multiple(np.array([[9]], np.uint8), 2, 2)
+        padded = pad_to_multiple(np.array([[9]], np.uint8), 2, 2)
         assert padded.tolist() == [[9, 9], [9, 9]]
 
     @given(small_images, st.integers(1, 8), st.integers(1, 8))
     def test_pad_then_crop_is_identity(self, img, bw, bh):
-        padded, (w, h) = pad_to_multiple(img, bw, bh)
-        assert_array_equal(crop(padded, w, h), img)
-
-    def test_crop_full_size_identity(self):
-        img = np.arange(12, dtype=np.uint8).reshape(3, 4)
-        assert_array_equal(crop(img, 4, 3), img)
-
-    def test_crop_out_of_bounds(self):
-        with pytest.raises(ValueError, match="out of bounds"):
-            crop(np.zeros((8, 8), np.uint8), 9, 9)
+        padded = pad_to_multiple(img, bw, bh)
+        assert padded.shape[0] % bh == 0 and padded.shape[1] % bw == 0
+        assert_array_equal(padded[: img.shape[0], : img.shape[1]], img)
 
 
 class TestStatistics:

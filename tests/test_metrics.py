@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from labt.metrics import (
     mean_range_width,
     psnr,
     sweep,
-    time_run,
 )
 
 # 2x4 image, one 2x2 block above another: the top block picks threshold 100,
@@ -61,24 +61,24 @@ class TestContinuityViolations:
         img = np.where(rng.random((24, 24)) < 0.5, np.uint8(220), np.uint8(30))
         res = run_labt(img, LabtConfig(block_w=8, block_h=8, mode="strict"))
         assert res.non_overlap_count == 0
-        assert continuity_violations(res, res.grid, res.padded) == 0
+        assert continuity_violations(res) == 0
 
     def test_paper_mode_exempt_pixel_flips_once(self):
         cfg = LabtConfig(block_w=2, block_h=2, mode="paper", seed_global=False)
         res = run_labt(EXEMPT_PIXEL_IMG, cfg)
         assert res.thresholds.tolist() == [[100], [101]]
-        assert continuity_violations(res, res.grid, res.padded) == 1
+        assert continuity_violations(res) == 1
 
     def test_strict_mode_same_image_zero(self):
         cfg = LabtConfig(block_w=2, block_h=2, mode="strict", seed_global=False)
         res = run_labt(EXEMPT_PIXEL_IMG, cfg)
         assert res.thresholds.tolist() == [[100], [100]]
-        assert continuity_violations(res, res.grid, res.padded) == 0
+        assert continuity_violations(res) == 0
 
     def test_single_block_no_pairs(self, rng):
         img = rng.integers(0, 256, (8, 8), dtype=np.uint8)
         res = run_labt(img, LabtConfig(block_w=8, block_h=8))
-        assert continuity_violations(res, res.grid, res.padded) == 0
+        assert continuity_violations(res) == 0
 
 
 class TestSweep:
@@ -110,23 +110,8 @@ class TestSweep:
 
 
 class TestTimeRun:
-    def test_noop_non_negative(self):
-        assert time_run(lambda: None) >= 0.0
-
-    def test_additive_within_noise(self):
-        def spin():
-            total = 0
-            for i in range(20000):
-                total += i
-            return total
-
-        single = time_run(spin)
-        double = time_run(lambda: (spin(), spin()))
-        assert double < 10 * max(single, 1e-5) + 0.05  # loose monotonic sanity
-
     def test_labt_run_under_a_second(self, rng):
         img = rng.integers(0, 256, (512, 512), dtype=np.uint8)
-        elapsed = time_run(
-            lambda: run_labt(img, LabtConfig(block_w=32, block_h=32, mode="strict"))
-        )
-        assert elapsed < 1.0
+        start = time.perf_counter()
+        run_labt(img, LabtConfig(block_w=32, block_h=32, mode="strict"))
+        assert time.perf_counter() - start < 1.0

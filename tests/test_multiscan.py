@@ -3,7 +3,6 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from labt.engine import LabtConfig
-from labt.image_core import flip_horizontal, flip_vertical
 from labt.multiscan import or_masks, run_multiscan
 
 # seeded-search instance where the flipped scans clamp differently and the
@@ -60,7 +59,7 @@ class TestRunMultiscan:
         rng = np.random.default_rng(3)
         pattern = np.where(rng.random((4, 6)) < 0.5, np.uint8(220), np.uint8(30))
         img = np.vstack([pattern, pattern[::-1]])
-        assert_array_equal(img, flip_vertical(img))
+        assert_array_equal(img, img[::-1])
         ms = run_multiscan(img, LabtConfig(block_w=2, block_h=2))
         assert_array_equal(ms.per_scan[0], ms.per_scan[1])
         assert_array_equal(ms.combined, or_masks([ms.per_scan[0], ms.per_scan[2]]))
@@ -80,8 +79,8 @@ class TestRunMultiscan:
 
     def test_scans_are_flipped_back(self):
         ms = run_multiscan(ASYMMETRIC_IMG, LabtConfig(block_w=2, block_h=2))
-        assert_array_equal(ms.per_scan[1], flip_vertical(ms.runs[1].binary))
-        assert_array_equal(ms.per_scan[2], flip_horizontal(ms.runs[2].binary))
+        assert_array_equal(ms.per_scan[1], ms.runs[1].binary[::-1])
+        assert_array_equal(ms.per_scan[2], ms.runs[2].binary[:, ::-1])
 
     def test_flip_invariant_image_combined_equals_identity_scan(self):
         # bilevel diamond rings are invariant under both flips and
@@ -89,8 +88,8 @@ class TestRunMultiscan:
         y, x = np.mgrid[0:32, 0:32]
         d = np.abs(y - 15.5) + np.abs(x - 15.5)
         img = np.where((d // 8).astype(int) % 2 == 0, np.uint8(215), np.uint8(40))
-        assert_array_equal(img, flip_vertical(img))
-        assert_array_equal(img, flip_horizontal(img))
+        assert_array_equal(img, img[::-1])
+        assert_array_equal(img, img[:, ::-1])
         ms = run_multiscan(img, LabtConfig(block_w=4, block_h=4))
         assert_array_equal(ms.combined, ms.per_scan[0])
         assert_array_equal(ms.per_scan[1], ms.per_scan[0])

@@ -38,9 +38,9 @@ class TestSelectThreshold:
         # region [90, 110]: mean 100, population stddev 10
         assert select_threshold(MeanK(k=-0.2), hist_of([90, 110])) == 98
 
-    def test_meank_uses_supplied_stats(self):
-        h = hist_of([0, 255])
-        assert select_threshold(MeanK(k=-0.2), h, mean=100.0, std=10.0) == 98
+    def test_meank_uses_histogram_stats(self):
+        # population mean 127.5 and stddev 127.5: round(127.5 - 25.5) = 102
+        assert select_threshold(MeanK(k=-0.2), hist_of([0, 255])) == 102
 
     def test_meank_clamps(self):
         assert select_threshold(MeanK(k=50.0), hist_of([100, 200])) == 255
@@ -56,6 +56,11 @@ class TestSelectThreshold:
     def test_rho_validation(self):
         with pytest.raises(ValueError, match="rho"):
             Adcdf(rho=1.0)
+
+    @pytest.mark.parametrize("k", [float("inf"), float("-inf"), float("nan")])
+    def test_meank_non_finite_k_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be finite"):
+            MeanK(k=k)
 
     def test_otsu_matches_oracle_on_random_images(self, rng):
         for _ in range(50):
@@ -134,3 +139,8 @@ class TestNiblack:
             NiblackParams(window=4)
         with pytest.raises(ValueError, match="window"):
             NiblackParams(window=1)
+
+    @pytest.mark.parametrize("k", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_k_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be finite"):
+            NiblackParams(k=k)
