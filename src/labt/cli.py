@@ -61,6 +61,8 @@ def _parse_sizes(text: str):
         raise argparse.ArgumentTypeError(f"sizes must be comma-separated integers, got {text!r}")
     if not sizes:
         raise argparse.ArgumentTypeError("sizes list is empty")
+    if len(set(sizes)) != len(sizes):
+        raise argparse.ArgumentTypeError(f"sizes must not repeat, got {text!r}")
     return sizes
 
 
@@ -292,7 +294,7 @@ def main(argv=None) -> int:
         if args.command == "compare":
             return _cmd_compare(args)
         return _cmd_sweep(args)
-    except (OSError, PgmError, ValueError) as exc:
+    except (OSError, PgmError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,10 +1,12 @@
 """Core block-thresholding engine with the continuity constraint.
 
-The image is split into equal blocks and scanned in raster order. Each
-block first gets a base threshold from the configured method; the
-thresholds of the finished up/left neighbors then dictate ranges of values
-that classify the block's border lines exactly as those neighbors do, and
-the base threshold is clamped into the intersection of the ranges.
+The image is split into equal blocks and processed in three stages. Each
+block first gets a base threshold from the configured method. A raster
+scan, the one sequential stage, then lets the thresholds of each block's
+finished up/left neighbors dictate ranges of values that classify its
+border lines exactly as those neighbors do, and clamps the base threshold
+into the intersection of the ranges; a neighbor beyond the grid edge
+contributes the full range 0..255. Last, one compare labels every pixel.
 
 Two range modes exist. ``strict`` (default) guarantees that the shared
 border pixels of adjacent blocks receive identical labels under both
@@ -166,14 +168,8 @@ def neighbor_range(t_neighbor: int, border_line, mode: str = "strict") -> Range:
     return Range(lo, hi)
 
 
-def effective_range(first: Range, second: Optional[Range] = None) -> Optional[Range]:
-    """Intersect two ranges; None marks an empty intersection.
-
-    Blocks on the grid edge have a single constraining neighbor; passing
-    ``second=None`` returns ``first`` unchanged.
-    """
-    if second is None:
-        return first
+def effective_range(first: Range, second: Range) -> Optional[Range]:
+    """Intersect two ranges; None marks an empty intersection."""
     lo = max(first.lo, second.lo)
     hi = min(first.hi, second.hi)
     if lo > hi:
@@ -219,14 +215,14 @@ def clamp_to_range(ot: int, r: Range) -> int:
 def run_labt(img, cfg: LabtConfig = LabtConfig()) -> LabtResult:
     """Binarize an image block by block under the continuity constraint.
 
-    Blocks are visited top-left to bottom-right so the up and left
-    neighbors are always finished first. The first block is thresholded
-    with the whole padded image's threshold when ``cfg.seed_global`` is
-    set (its own base threshold otherwise); every later block clamps its
-    base threshold into the range dictated by its finished neighbors, and
-    counts an out-of-range event when clamping moved it. Disjoint neighbor
-    ranges are resolved by :func:`resolve_empty` and counted separately.
-    The output is cropped back to the input size.
+    Stages: every block's base threshold; a scan top-left to bottom-right
+    so the up and left neighbors are always finished first; the labels.
+    The first block applies the whole padded image's threshold when
+    ``cfg.seed_global`` is set (its own base threshold otherwise); every
+    later block clamps its base threshold into the range dictated by its
+    neighbors, and counts an out-of-range event when clamping moved it.
+    Disjoint neighbor ranges are resolved by :func:`resolve_empty` and
+    counted separately. The output is cropped back to the input size.
     """
     arr = as_gray(img)
     override = None if cfg.block_w is None else (cfg.block_w, cfg.block_h)
@@ -235,65 +231,49 @@ def run_labt(img, cfg: LabtConfig = LabtConfig()) -> LabtResult:
 
     rows, cols = grid.rows, grid.cols
     bw, bh = grid.block_w, grid.block_h
-    base = np.zeros((rows, cols), dtype=np.int32)
-    final = np.zeros((rows, cols), dtype=np.int32)
+    blocks = padded.reshape(rows, bh, cols, bw)
+    base = np.array(
+        [
+            [select_threshold(cfg.method, histogram(block)) for block in block_row]
+            for block_row in blocks.swapaxes(1, 2)
+        ],
+        dtype=np.int32,
+    )
+    final = base.copy()
+    if cfg.seed_global:
+        final[0, 0] = select_threshold(cfg.method, histogram(padded))
     range_lo = np.zeros((rows, cols), dtype=np.int32)
-    range_hi = np.zeros((rows, cols), dtype=np.int32)
-    labels = np.zeros(padded.shape, dtype=bool)
+    range_hi = np.full((rows, cols), 255, dtype=np.int32)
     out_of_range = 0
     non_overlap = 0
 
-    seed = select_threshold(cfg.method, histogram(padded)) if cfg.seed_global else None
+    # The first block keeps the full range. On the grid edge t_up/t_left
+    # index other blocks, unused: the full range is never disjoint.
+    for i in range(1, rows * cols):
+        r, c = divmod(i, cols)
+        ys, xs = r * bh, c * bw
+        top_border = padded[ys, xs : xs + bw]
+        left_border = padded[ys : ys + bh, xs]
+        t_up, t_left = int(final[r - 1, c]), int(final[r, c - 1])
+        up = neighbor_range(t_up, top_border, cfg.mode) if r else Range(0, 255)
+        left = neighbor_range(t_left, left_border, cfg.mode) if c else Range(0, 255)
+        ot = int(base[r, c])
+        rng = effective_range(up, left)
+        if rng is None:
+            non_overlap += 1
+            t = resolve_empty(up, left, ot, top_border, left_border, t_up, t_left)
+            rng = Range(t, t)
+        else:
+            t = clamp_to_range(ot, rng)
 
-    for r in range(rows):
-        for c in range(cols):
-            ys, xs = r * bh, c * bw
-            block = padded[ys : ys + bh, xs : xs + bw]
-            ot = select_threshold(cfg.method, histogram(block))
-            base[r, c] = ot
+        if not rng.lo <= ot <= rng.hi:
+            out_of_range += 1
+        final[r, c] = t
+        range_lo[r, c] = rng.lo
+        range_hi[r, c] = rng.hi
 
-            if r == 0 and c == 0:
-                t = seed if cfg.seed_global else ot
-                rng = Range(0, 255)
-            else:
-                top_border = padded[ys, xs : xs + bw]
-                left_border = padded[ys : ys + bh, xs]
-                up = (
-                    neighbor_range(int(final[r - 1, c]), top_border, cfg.mode)
-                    if r > 0
-                    else None
-                )
-                left = (
-                    neighbor_range(int(final[r, c - 1]), left_border, cfg.mode)
-                    if c > 0
-                    else None
-                )
-                if up is not None and left is not None:
-                    rng = effective_range(up, left)
-                else:
-                    rng = up if up is not None else left
-                if rng is None:
-                    non_overlap += 1
-                    t = resolve_empty(
-                        up,
-                        left,
-                        ot,
-                        top_border,
-                        left_border,
-                        int(final[r - 1, c]),
-                        int(final[r, c - 1]),
-                    )
-                    rng = Range(t, t)
-                else:
-                    t = clamp_to_range(ot, rng)
-
-            if not rng.lo <= ot <= rng.hi:
-                out_of_range += 1
-            final[r, c] = t
-            range_lo[r, c] = rng.lo
-            range_hi[r, c] = rng.hi
-            labels[ys : ys + bh, xs : xs + bw] = block >= t
-
+    # Thresholds lie in 0..255, so comparing as uint8 is exact and casts nothing.
+    labels = (blocks >= final.astype(np.uint8)[:, None, :, None]).reshape(padded.shape)
     return LabtResult(
         binary=labels[: arr.shape[0], : arr.shape[1]].copy(),
         base_thresholds=base,

@@ -76,16 +76,16 @@ def continuity_violations(result: LabtResult) -> int:
     arr, grid = result.padded, result.grid
     t = result.thresholds
     bw, bh = grid.block_w, grid.block_h
-    count = 0
-    for r in range(1, grid.rows):
-        for c in range(grid.cols):
-            line = arr[r * bh, c * bw : (c + 1) * bw]
-            count += int(np.count_nonzero((line >= t[r, c]) != (line >= t[r - 1, c])))
-    for r in range(grid.rows):
-        for c in range(1, grid.cols):
-            line = arr[r * bh : (r + 1) * bh, c * bw]
-            count += int(np.count_nonzero((line >= t[r, c]) != (line >= t[r, c - 1])))
-    return count
+    # Row r*bh is the top border of block row r, column c*bw the left
+    # border of block column c; expand the thresholds on each side of it.
+    top = arr[bh::bh]
+    left = arr[:, bw::bw]
+    below, above = np.repeat(t[1:], bw, axis=1), np.repeat(t[:-1], bw, axis=1)
+    right_of, left_of = np.repeat(t[:, 1:], bh, axis=0), np.repeat(t[:, :-1], bh, axis=0)
+    return int(
+        np.count_nonzero((top >= below) != (top >= above))
+        + np.count_nonzero((left >= right_of) != (left >= left_of))
+    )
 
 
 def sweep(img, cfg: LabtConfig, block_sizes: Sequence[int]) -> list[SweepRow]:

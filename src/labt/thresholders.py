@@ -82,14 +82,11 @@ def _round_half_away(x: float) -> int:
     return int(math.ceil(x - 0.5))
 
 
-def _otsu_threshold(counts: np.ndarray) -> int:
+def _otsu_threshold(counts: np.ndarray, lowest: int, highest: int, total: int) -> int:
     # Exact integer arithmetic: the between-class variance of the split
     # {< t | >= t} is proportional to (s0*w1 - s1*w0)^2 / (w0*w1), so
     # candidates compare by cross-multiplication without float rounding.
-    occupied = np.flatnonzero(counts)
-    lowest, highest = int(occupied[0]), int(occupied[-1])
     plain = counts.tolist()
-    total = sum(plain)
     grand = sum(g * n for g, n in enumerate(plain))
     w0 = 0
     s0 = 0
@@ -129,7 +126,7 @@ def select_threshold(method: ThresholdMethod, hist: np.ndarray) -> int:
         return int(occupied[0])
 
     if isinstance(method, Otsu):
-        return _otsu_threshold(counts)
+        return _otsu_threshold(counts, int(occupied[0]), int(occupied[-1]), total)
     if isinstance(method, Adcdf):
         cdf = np.cumsum(counts)
         first = int(np.argmax(cdf >= method.rho * total))

@@ -92,6 +92,21 @@ class TestBinarize:
         assert err.startswith("error: k must be finite") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_memory_error_fails_with_one_error_line(
+        self, doc_image, tmp_path, capsys, monkeypatch
+    ):
+        def unallocatable(img, cfg):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr("labt.cli.run_labt", unallocatable)
+        inp, _ = doc_image
+        out = tmp_path / "o.pgm"
+        rc = main(["binarize", str(inp), str(out), "--block", "1000000x1000000"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_paper_mode_and_no_global_seed_accepted(self, doc_image, tmp_path):
         inp, _ = doc_image
         out = tmp_path / "o.pgm"
@@ -183,6 +198,15 @@ class TestSweep:
             for l in (tmp_path / "s_avg.csv").read_text().strip().splitlines()[1:]
         ]
         assert [r[1:] for r in per_rows] == avg_rows
+
+    def test_repeated_size_rejected(self, doc_image, tmp_path, capsys):
+        inp, _ = doc_image
+        csv_path = tmp_path / "s.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", str(inp), "--csv", str(csv_path), "--sizes", "8,16,8"])
+        assert exc.value.code == 2
+        assert "sizes must not repeat" in capsys.readouterr().err
+        assert not csv_path.exists()
 
     def test_empty_directory_fails(self, tmp_path, capsys):
         empty = tmp_path / "empty"

@@ -2,12 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from labt.engine import (
     LabtConfig,
+    LabtResult,
     Range,
     choose_grid,
     clamp_to_range,
@@ -18,8 +19,14 @@ from labt.engine import (
 )
 from labt.image_core import histogram
 from labt.metrics import continuity_violations
-from labt.thresholders import Otsu, select_threshold
-from oracles import admissible_interval, border_disagreements, otsu_exhaustive
+from labt.thresholders import Adcdf, MeanK, Otsu, select_threshold
+from corpus import bimodal_noise, checkerboard, document_scan
+from oracles import (
+    admissible_interval,
+    border_disagreements,
+    otsu_exhaustive,
+    run_labt_raster,
+)
 
 
 class TestNeighborRange:
@@ -71,7 +78,8 @@ class TestEffectiveRange:
         assert effective_range(Range(91, 100), Range(110, 140)) is None
 
     def test_single_neighbor_passthrough(self):
-        assert effective_range(Range(50, 60), None) == Range(50, 60)
+        # the full range stands in for a neighbor beyond the grid edge
+        assert effective_range(Range(50, 60), Range(0, 255)) == Range(50, 60)
 
 
 class TestResolveEmpty:
@@ -294,3 +302,69 @@ class TestRunLabt:
     def test_config_replace_keeps_validation(self):
         cfg = LabtConfig(block_w=4, block_h=4)
         assert dataclasses.replace(cfg, block_w=8, block_h=8).block_w == 8
+
+
+def assert_same_result(got, want):
+    """Every LabtResult field equal, arrays also in shape and dtype."""
+    for field in dataclasses.fields(LabtResult):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert (a.shape, a.dtype) == (b.shape, b.dtype), field.name
+            assert_array_equal(a, b, err_msg=field.name)
+        else:
+            assert type(a) is type(b) and a == b, field.name
+    assert got.binary.flags.c_contiguous
+
+
+def assert_run_invariants(res, cfg):
+    assert (res.range_lo <= res.thresholds).all()
+    assert (res.thresholds <= res.range_hi).all()
+    if cfg.mode == "strict" and res.non_overlap_count == 0:
+        assert continuity_violations(res) == 0
+
+
+METHODS = st.one_of(
+    st.just(Otsu()),
+    st.builds(Adcdf, st.floats(0.05, 0.95)),
+    st.builds(MeanK, st.floats(-1.5, 1.5)),
+)
+
+
+class TestMatchesRasterReference:
+    """The staged engine against the frozen one-loop raster engine."""
+
+    @settings(max_examples=400)
+    @given(
+        st.integers(2, 80),
+        st.integers(2, 80),
+        st.integers(2, 40),
+        st.integers(2, 40),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([2, 3, 256]),
+        METHODS,
+        st.sampled_from(["strict", "paper"]),
+        st.booleans(),
+    )
+    def test_random_images(self, h, w, bh, bw, seed, levels, method, mode, seed_global):
+        # few-level images make border pixels equal to neighbor thresholds
+        # and disjoint neighbor ranges common
+        values = np.random.default_rng(seed).integers(0, 256, levels)
+        img = values[np.random.default_rng(seed + 1).integers(0, levels, (h, w))]
+        img = img.astype(np.uint8)
+        cfg = LabtConfig(method, bw, bh, mode, seed_global)
+        res = run_labt(img, cfg)
+        assert_same_result(res, run_labt_raster(img, cfg))
+        assert_run_invariants(res, cfg)
+
+    @pytest.mark.parametrize(
+        "img",
+        [document_scan(300, 200, 31), bimodal_noise(300, 200, 41), checkerboard(300, 200, 20)],
+        ids=["document_scan", "bimodal_noise", "checkerboard"],
+    )
+    @pytest.mark.parametrize("block", [8, 16, 64])
+    @pytest.mark.parametrize("mode", ["strict", "paper"])
+    def test_corpus_images(self, img, block, mode):
+        cfg = LabtConfig(block_w=block, block_h=block, mode=mode)
+        res = run_labt(img, cfg)
+        assert_same_result(res, run_labt_raster(img, cfg))
+        assert_run_invariants(res, cfg)

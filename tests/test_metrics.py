@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from corpus import level_noise
 from labt.engine import LabtConfig, run_labt
 from labt.metrics import (
     SweepRow,
@@ -12,6 +13,7 @@ from labt.metrics import (
     psnr,
     sweep,
 )
+from oracles import border_disagreements
 
 # 2x4 image, one 2x2 block above another: the top block picks threshold 100,
 # the bottom block's border row contains a pixel equal to it. Paper mode
@@ -74,6 +76,29 @@ class TestContinuityViolations:
         res = run_labt(EXEMPT_PIXEL_IMG, cfg)
         assert res.thresholds.tolist() == [[100], [100]]
         assert continuity_violations(res) == 0
+
+    @pytest.mark.parametrize("block", [(3, 5), (6, 4)])
+    def test_matches_per_pixel_bruteforce(self, block):
+        bw, bh = block
+        nonzero = 0
+        for seed in range(6):
+            img = level_noise(31, 23, seed, levels=(40, 100, 101, 160, 220))
+            res = run_labt(img, LabtConfig(block_w=bw, block_h=bh, mode="paper"))
+            t, arr = res.thresholds, res.padded
+            expected = 0
+            for r in range(res.grid.rows):
+                for c in range(res.grid.cols):
+                    ys, xs = r * bh, c * bw
+                    if r:
+                        line = arr[ys, xs : xs + bw]
+                        expected += border_disagreements(t[r, c], line, t[r - 1, c])
+                    if c:
+                        line = arr[ys : ys + bh, xs]
+                        expected += border_disagreements(t[r, c], line, t[r, c - 1])
+            assert continuity_violations(res) == expected
+            nonzero += expected > 0
+        # the count must be exercised, not only zero
+        assert nonzero >= 2
 
     def test_single_block_no_pairs(self, rng):
         img = rng.integers(0, 256, (8, 8), dtype=np.uint8)
