@@ -1,7 +1,8 @@
 """Core block-thresholding engine with the continuity constraint.
 
 The image is split into equal blocks and processed in three stages. Each
-block first gets a base threshold from the configured method. A raster
+block first gets a base threshold from its 256-bin histogram; one
+``np.bincount`` per block row counts each pixel once. A raster
 scan, the one sequential stage, then lets the thresholds of each block's
 finished up/left neighbors dictate ranges of values that classify its
 border lines exactly as those neighbors do, and clamps the base threshold
@@ -23,7 +24,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .image_core import as_gray, histogram, pad_to_multiple, variance
+from .image_core import as_gray, pad_to_multiple, variance
 from .thresholders import Otsu, ThresholdMethod, select_threshold
 
 __all__ = [
@@ -215,9 +216,10 @@ def clamp_to_range(ot: int, r: Range) -> int:
 def run_labt(img, cfg: LabtConfig = LabtConfig()) -> LabtResult:
     """Binarize an image block by block under the continuity constraint.
 
-    Stages: every block's base threshold; a scan top-left to bottom-right
-    so the up and left neighbors are always finished first; the labels.
-    The first block applies the whole padded image's threshold when
+    Stages: base thresholds, one :func:`select_threshold` call per block
+    row; a scan top-left to bottom-right so the up and left neighbors are
+    always finished first; the labels. The first block applies the
+    threshold of the summed block histograms, the padded image's, when
     ``cfg.seed_global`` is set (its own base threshold otherwise); every
     later block clamps its base threshold into the range dictated by its
     neighbors, and counts an out-of-range event when clamping moved it.
@@ -232,16 +234,17 @@ def run_labt(img, cfg: LabtConfig = LabtConfig()) -> LabtResult:
     rows, cols = grid.rows, grid.cols
     bw, bh = grid.block_w, grid.block_h
     blocks = padded.reshape(rows, bh, cols, bw)
-    base = np.array(
-        [
-            [select_threshold(cfg.method, histogram(block)) for block in block_row]
-            for block_row in blocks.swapaxes(1, 2)
-        ],
-        dtype=np.int32,
-    )
+    base = np.empty((rows, cols), dtype=np.int32)
+    page = np.zeros(256, dtype=np.int64)
+    bin_base = np.arange(grid.padded_w) // bw * 256
+    for r in range(rows):
+        band = (bin_base + padded[r * bh : (r + 1) * bh]).ravel()
+        hists = np.bincount(band, minlength=cols * 256).reshape(cols, 256)
+        base[r] = select_threshold(cfg.method, hists)
+        page += hists.sum(axis=0)
     final = base.copy()
     if cfg.seed_global:
-        final[0, 0] = select_threshold(cfg.method, histogram(padded))
+        final[0, 0] = select_threshold(cfg.method, page)
     range_lo = np.zeros((rows, cols), dtype=np.int32)
     range_hi = np.full((rows, cols), 255, dtype=np.int32)
     out_of_range = 0

@@ -105,7 +105,11 @@ def read_pgm(data: bytes) -> np.ndarray:
             raise PgmError(
                 f"truncated payload: expected {count} bytes, got {len(payload)}"
             )
-        return np.frombuffer(payload, dtype=np.uint8).reshape(height, width).copy()
+        samples = np.frombuffer(payload, dtype=np.uint8)
+        if samples.max() > maxval:
+            value = samples[np.argmax(samples > maxval)]
+            raise PgmError(f"sample value {value} exceeds maxval {maxval}")
+        return samples.reshape(height, width).copy()
 
     # each sample needs a digit and a separator before it, so a header
     # claiming more samples than the rest of the file can hold is rejected
@@ -159,22 +163,22 @@ def pad_to_multiple(img, block_w: int, block_h: int) -> np.ndarray:
     if block_w < 1 or block_h < 1:
         raise ValueError("block dimensions must be positive")
     height, width = arr.shape
-    extra_h = -height % block_h
-    extra_w = -width % block_w
-    if extra_h or extra_w:
-        padded = np.pad(arr, ((0, extra_h), (0, extra_w)), mode="edge")
-    else:
-        padded = arr.copy()
-    return padded
+    return np.pad(arr, ((0, -height % block_h), (0, -width % block_w)), mode="edge")
 
 
 def histogram(img) -> np.ndarray:
     """Count pixels per intensity; returns a length-256 int64 array."""
     arr = as_gray(img)
-    return np.bincount(arr.ravel(), minlength=256).astype(np.int64)
+    # Bands of about 2**17 pixels keep np.bincount's 64-bit index copy small.
+    step = max(1, (1 << 17) // arr.shape[1])
+    counts = np.zeros(256, dtype=np.int64)
+    for start in range(0, arr.shape[0], step):
+        counts += np.bincount(arr[start : start + step].ravel(), minlength=256)
+    return counts
 
 
 def variance(img) -> float:
-    """Population variance of the intensities (mean squared deviation)."""
-    arr = as_gray(img)
-    return float(np.var(arr.astype(np.float64)))
+    """Population variance of the intensities, from exact integer sums."""
+    counts = histogram(img).tolist()
+    n, s1, s2 = (sum(g**p * c for g, c in enumerate(counts)) for p in range(3))
+    return (n * s2 - s1 * s1) / (n * n)

@@ -76,67 +76,63 @@ class NiblackParams:
         _check_finite_k(self.k)
 
 
-def _round_half_away(x: float) -> int:
-    if x >= 0:
-        return int(math.floor(x + 0.5))
-    return int(math.ceil(x - 0.5))
+def _otsu_thresholds(counts: np.ndarray) -> np.ndarray:
+    # Split t (1..255) puts levels < t in class 0. Only t with counts[t-1] > 0
+    # and pixels at or above t can win: the smallest t wins ties. The float
+    # score w0*w1*(mu1-mu0)^2 is within ~1e-13 of exact since mu1 - mu0 >= 1;
+    # rows with several candidates near the best are rechecked exactly.
+    cum = np.cumsum(counts, axis=1)
+    cum_sum = np.cumsum(counts * np.arange(256), axis=1)
+    w0, s0 = cum[:, :-1], cum_sum[:, :-1]
+    w1, s1 = cum[:, -1:] - w0, cum_sum[:, -1:] - s0
+    score = w0 * (w1 * (s1 / np.maximum(w1, 1) - s0 / np.maximum(w0, 1)) ** 2)
+    score = np.where((counts[:, :-1] > 0) & (w1 > 0), score, -1.0)
+    near = score >= score.max(axis=1, keepdims=True) * (1 - 1e-9)
+    best = near.argmax(axis=1) + 1
+    for row in np.flatnonzero(near.sum(axis=1) > 1):
+        # (s0*w1 - s1*w0)^2 / (w0*w1) compares by cross-multiplication.
+        best_num, best_den = -1, 1
+        for t in np.flatnonzero(near[row]).tolist():
+            a0, b0, a1, b1 = (int(x[row, t]) for x in (w0, s0, w1, s1))
+            num, den = (b0 * a1 - b1 * a0) ** 2, a0 * a1
+            if num * best_den > best_num * den:
+                best_num, best_den, best[row] = num, den, t + 1
+    return best
 
 
-def _otsu_threshold(counts: np.ndarray, lowest: int, highest: int, total: int) -> int:
-    # Exact integer arithmetic: the between-class variance of the split
-    # {< t | >= t} is proportional to (s0*w1 - s1*w0)^2 / (w0*w1), so
-    # candidates compare by cross-multiplication without float rounding.
-    plain = counts.tolist()
-    grand = sum(g * n for g, n in enumerate(plain))
-    w0 = 0
-    s0 = 0
-    best_t = highest
-    best_num = -1
-    best_den = 1
-    # The maximum is positive and attained with both classes non-empty,
-    # i.e. for t in [lowest+1, highest]; every other t scores zero.
-    for t in range(lowest + 1, highest + 1):
-        w0 += plain[t - 1]
-        s0 += (t - 1) * plain[t - 1]
-        w1 = total - w0
-        s1 = grand - s0
-        diff = s0 * w1 - s1 * w0
-        num = diff * diff
-        den = w0 * w1
-        if num * best_den > best_num * den:
-            best_num, best_den, best_t = num, den, t
-    return best_t
+def select_threshold(method: ThresholdMethod, hist: np.ndarray) -> int | np.ndarray:
+    """Pick a threshold in 0..255 for each region described by ``hist``.
 
-
-def select_threshold(method: ThresholdMethod, hist: np.ndarray) -> int:
-    """Pick a threshold in 0..255 for the region described by ``hist``.
-
+    ``hist`` is one ``(256,)`` histogram, which gives an ``int``, or an
+    ``(n, 256)`` stack of them, which gives an int array of length n.
     :class:`MeanK` uses the population mean and stddev of the histogram. A
     region with a single intensity returns that intensity regardless of
     method.
     """
     counts = np.asarray(hist, dtype=np.int64)
-    if counts.shape != (256,) or (counts < 0).any():
+    if counts.shape[-1:] != (256,) or counts.ndim > 2 or (counts < 0).any():
         raise ValueError("histogram must be 256 non-negative counts")
-    total = int(counts.sum())
-    if total < 1:
+    stack = counts.reshape(-1, 256)
+    total = stack.sum(axis=1)
+    if (total < 1).any():
         raise ValueError("empty region")
-    occupied = np.flatnonzero(counts)
-    if occupied.size == 1:
-        return int(occupied[0])
 
     if isinstance(method, Otsu):
-        return _otsu_threshold(counts, int(occupied[0]), int(occupied[-1]), total)
-    if isinstance(method, Adcdf):
-        cdf = np.cumsum(counts)
-        first = int(np.argmax(cdf >= method.rho * total))
-        return min(first + 1, 255)
-    if isinstance(method, MeanK):
-        mean = float(np.dot(np.arange(256), counts)) / total
-        sq = float(np.dot(np.arange(256) ** 2, counts)) / total
-        std = math.sqrt(max(sq - mean * mean, 0.0))
-        return min(max(_round_half_away(mean + method.k * std), 0), 255)
-    raise TypeError(f"unknown threshold method {method!r}")
+        chosen = _otsu_thresholds(stack)
+    elif isinstance(method, Adcdf):
+        below = np.cumsum(stack, axis=1) < method.rho * total[:, None]
+        chosen = np.minimum(below.sum(axis=1) + 1, 255)
+    elif isinstance(method, MeanK):
+        mean = (stack @ np.arange(256)).astype(np.float64) / total
+        sq = (stack @ np.arange(256) ** 2).astype(np.float64) / total
+        with np.errstate(over="ignore"):  # a huge k gives +-inf, clipped below
+            x = mean + method.k * np.sqrt(np.maximum(sq - mean * mean, 0.0))
+        chosen = np.clip(np.where(x >= 0, np.floor(x + 0.5), np.ceil(x - 0.5)), 0, 255)
+    else:
+        raise TypeError(f"unknown threshold method {method!r}")
+    occupied = stack > 0
+    levels = np.where(occupied.sum(axis=1) == 1, occupied.argmax(axis=1), chosen)
+    return int(levels[0]) if counts.ndim == 1 else levels.astype(np.int64)
 
 
 def binarize_global(img, t: int) -> np.ndarray:
@@ -179,5 +175,6 @@ def niblack_binarize(img, params: NiblackParams = NiblackParams()) -> np.ndarray
     area = (y1 - y0)[:, None] * (x1 - x0)[None, :]
     mu = window_sums(integral) / area
     var = window_sums(integral_sq) / area - mu * mu
-    thresh = mu + params.k * np.sqrt(np.clip(var, 0.0, None))
+    with np.errstate(over="ignore"):  # a huge k gives +-inf: no/all foreground
+        thresh = mu + params.k * np.sqrt(np.clip(var, 0.0, None))
     return arr >= thresh

@@ -1,10 +1,13 @@
 """Independent brute-force reference implementations for the test suite.
 
 Deliberately slow and literal: each oracle recomputes its answer from the
-definition, without sharing code paths with the library. The one exception
-is :func:`run_labt_raster`, a frozen copy of the original one-loop engine
-that calls the library's per-block helpers; engine rewrites are checked
-against it field by field.
+definition, without sharing code paths with the library. The exceptions are
+frozen copies of earlier library code that fast paths are checked against:
+:func:`select_threshold_scalar` (one histogram at a time, with the per-level
+exact-integer Otsu loop) and :func:`histogram_flat` (one ``np.bincount``
+over the whole image), and :func:`run_labt_raster`, the original one-loop
+engine built on them. It still calls the library's grid, padding and range
+helpers; engine rewrites are checked against it field by field.
 """
 
 import math
@@ -22,8 +25,8 @@ from labt.engine import (
     neighbor_range,
     resolve_empty,
 )
-from labt.image_core import as_gray, histogram, pad_to_multiple
-from labt.thresholders import select_threshold
+from labt.image_core import as_gray, pad_to_multiple
+from labt.thresholders import Adcdf, MeanK, Otsu
 
 
 def otsu_exhaustive(counts):
@@ -113,6 +116,75 @@ def variance_two_pass(img):
     return math.fsum((v - mean) ** 2 for v in values) / len(values)
 
 
+def histogram_flat(img):
+    """Count pixels per intensity; returns a length-256 int64 array."""
+    arr = as_gray(img)
+    return np.bincount(arr.ravel(), minlength=256).astype(np.int64)
+
+
+def _round_half_away(x: float) -> int:
+    if x >= 0:
+        return int(math.floor(x + 0.5))
+    return int(math.ceil(x - 0.5))
+
+
+def _otsu_threshold(counts: np.ndarray, lowest: int, highest: int, total: int) -> int:
+    # Exact integer arithmetic: the between-class variance of the split
+    # {< t | >= t} is proportional to (s0*w1 - s1*w0)^2 / (w0*w1), so
+    # candidates compare by cross-multiplication without float rounding.
+    plain = counts.tolist()
+    grand = sum(g * n for g, n in enumerate(plain))
+    w0 = 0
+    s0 = 0
+    best_t = highest
+    best_num = -1
+    best_den = 1
+    # The maximum is positive and attained with both classes non-empty,
+    # i.e. for t in [lowest+1, highest]; every other t scores zero.
+    for t in range(lowest + 1, highest + 1):
+        w0 += plain[t - 1]
+        s0 += (t - 1) * plain[t - 1]
+        w1 = total - w0
+        s1 = grand - s0
+        diff = s0 * w1 - s1 * w0
+        num = diff * diff
+        den = w0 * w1
+        if num * best_den > best_num * den:
+            best_num, best_den, best_t = num, den, t
+    return best_t
+
+
+def select_threshold_scalar(method, hist: np.ndarray) -> int:
+    """Pick a threshold in 0..255 for the region described by ``hist``.
+
+    :class:`MeanK` uses the population mean and stddev of the histogram. A
+    region with a single intensity returns that intensity regardless of
+    method.
+    """
+    counts = np.asarray(hist, dtype=np.int64)
+    if counts.shape != (256,) or (counts < 0).any():
+        raise ValueError("histogram must be 256 non-negative counts")
+    total = int(counts.sum())
+    if total < 1:
+        raise ValueError("empty region")
+    occupied = np.flatnonzero(counts)
+    if occupied.size == 1:
+        return int(occupied[0])
+
+    if isinstance(method, Otsu):
+        return _otsu_threshold(counts, int(occupied[0]), int(occupied[-1]), total)
+    if isinstance(method, Adcdf):
+        cdf = np.cumsum(counts)
+        first = int(np.argmax(cdf >= method.rho * total))
+        return min(first + 1, 255)
+    if isinstance(method, MeanK):
+        mean = float(np.dot(np.arange(256), counts)) / total
+        sq = float(np.dot(np.arange(256) ** 2, counts)) / total
+        std = math.sqrt(max(sq - mean * mean, 0.0))
+        return min(max(_round_half_away(mean + method.k * std), 0), 255)
+    raise TypeError(f"unknown threshold method {method!r}")
+
+
 def run_labt_raster(img, cfg: LabtConfig = LabtConfig()) -> LabtResult:
     """Binarize an image block by block under the continuity constraint.
 
@@ -140,13 +212,17 @@ def run_labt_raster(img, cfg: LabtConfig = LabtConfig()) -> LabtResult:
     out_of_range = 0
     non_overlap = 0
 
-    seed = select_threshold(cfg.method, histogram(padded)) if cfg.seed_global else None
+    seed = (
+        select_threshold_scalar(cfg.method, histogram_flat(padded))
+        if cfg.seed_global
+        else None
+    )
 
     for r in range(rows):
         for c in range(cols):
             ys, xs = r * bh, c * bw
             block = padded[ys : ys + bh, xs : xs + bw]
-            ot = select_threshold(cfg.method, histogram(block))
+            ot = select_threshold_scalar(cfg.method, histogram_flat(block))
             base[r, c] = ot
 
             if r == 0 and c == 0:

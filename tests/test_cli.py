@@ -1,8 +1,13 @@
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_array_equal
 
 from labt.cli import main
@@ -119,6 +124,26 @@ class TestBinarize:
         assert main(["binarize", str(inp), str(out1), "--block", "8x8"]) == 0
         assert main(["binarize", str(inp), str(out2), "--block", "8x8"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("old", [b"", b"P5 1 1 255 \x00", bytes(100_000)])
+    def test_overwrites_existing_output_exactly(self, doc_image, tmp_path, old):
+        inp, _ = doc_image
+        fresh, out = tmp_path / "fresh.pgm", tmp_path / "o.pgm"
+        out.write_bytes(old)
+        assert main(["binarize", str(inp), str(fresh), "--block", "8x8"]) == 0
+        assert main(["binarize", str(inp), str(out), "--block", "8x8"]) == 0
+        assert out.read_bytes() == fresh.read_bytes()
+
+    def test_writes_to_a_pipe(self, doc_image, tmp_path):
+        inp, _ = doc_image
+        fresh = tmp_path / "fresh.pgm"
+        assert main(["binarize", str(inp), str(fresh), "--block", "8x8"]) == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "labt", "binarize", str(inp), "/dev/stdout", "--block", "8x8"],
+            capture_output=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith(fresh.read_bytes())
 
 
 class TestCompare:
@@ -240,3 +265,78 @@ def test_module_entry_point(doc_image, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "out_of_range_count=" in proc.stdout
     assert out.exists()
+
+
+_PAGE = write_pgm(np.random.default_rng(5).integers(0, 256, (12, 9), dtype=np.uint8))
+
+# PGM-like inputs: valid small pages, one cut short at any byte, arbitrary
+# bytes, and small P2/P5 headers over random payloads.
+_pgm_like = st.one_of(
+    arrays(np.uint8, st.tuples(st.integers(1, 20), st.integers(1, 20))).map(write_pgm),
+    arrays(np.uint8, st.tuples(st.integers(2, 20), st.integers(2, 20))).map(write_pgm),
+    st.integers(0, len(_PAGE)).map(lambda cut: _PAGE[:cut]),
+    st.binary(max_size=64),
+    st.builds(
+        lambda magic, w, h, maxval, payload: b"%s %d %d %d " % (magic, w, h, maxval) + payload,
+        st.sampled_from([b"P5", b"P2", b"P6"]),
+        st.integers(0, 20),
+        st.integers(0, 20),
+        st.integers(0, 300),
+        st.one_of(
+            st.binary(max_size=400),
+            st.lists(st.integers(0, 300), max_size=400).map(
+                lambda xs: " ".join(map(str, xs)).encode()
+            ),
+        ),
+    ),
+)
+_side = st.integers(-1, 64)
+_common_flags = [
+    st.tuples(st.just("--method"), st.sampled_from(["otsu", "adcdf", "meank", "niblack", "x"])),
+    st.tuples(st.just("--k"), st.sampled_from(["-0.2", "0", "3.5", "-9", "1e308", "inf", "x"])),
+    st.tuples(st.just("--rho"), st.sampled_from(["0.5", "0.01", "0.99", "0.3", "0", "nan"])),
+    st.tuples(st.just("--window"), st.sampled_from(["3", "5", "15", "99", "4", "-5"])),
+    st.tuples(
+        st.just("--block"),
+        st.one_of(st.just("auto"), st.just("8"), st.builds("{}x{}".format, _side, _side)),
+    ),
+    st.tuples(st.just("--mode"), st.sampled_from(["strict", "paper"])),
+    st.just(("--no-global-seed",)),
+]
+_command_flags = {
+    "binarize": [st.just(("--multiscan",))],
+    "compare": [],
+    "sweep": [
+        st.tuples(
+            st.just("--sizes"),
+            st.lists(st.integers(0, 64), max_size=4).map(lambda xs: ",".join(map(str, xs))),
+        )
+    ],
+}
+_invocations = st.sampled_from(sorted(_command_flags)).flatmap(
+    lambda command: st.tuples(
+        st.just(command),
+        st.lists(st.one_of(_common_flags + _command_flags[command]), max_size=4),
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_pgm_like, invocation=_invocations)
+def test_cli_never_tracebacks(data, invocation):
+    command, flags = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        inp = Path(tmp) / "in.pgm"
+        inp.write_bytes(data)
+        positional = {
+            "binarize": [str(inp), str(Path(tmp) / "out.pgm")],
+            "compare": [str(inp), str(Path(tmp) / "cmp")],
+            "sweep": [str(inp), "--csv", str(Path(tmp) / "s.csv")],
+        }[command]
+        argv = [command, *positional, *[arg for flag in flags for arg in flag]]
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse rejects the flags
+            assert exc.code == 2
+        else:
+            assert rc in (0, 1)

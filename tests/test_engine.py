@@ -17,7 +17,9 @@ from labt.engine import (
     resolve_empty,
     run_labt,
 )
-from labt.image_core import histogram
+import labt.engine
+import labt.image_core
+from labt.image_core import histogram, variance
 from labt.metrics import continuity_violations
 from labt.thresholders import Adcdf, MeanK, Otsu, select_threshold
 from corpus import bimodal_noise, checkerboard, document_scan
@@ -150,6 +152,14 @@ class TestChooseGrid:
         img[:, 5:] = 80  # stddev 40
         assert choose_grid(img).block_w == 32
 
+    @pytest.mark.parametrize("high, side", [(64, 32), (128, 16)])
+    def test_exact_variance_on_the_bucket_edge(self, high, side):
+        # half 0 / half high: variance exactly (high / 2) ** 2, 1024 or 4096
+        img = np.zeros((10, 10), np.uint8)
+        img[:, 5:] = high
+        assert variance(img) == (high / 2) ** 2
+        assert choose_grid(img).block_w == side
+
     def test_override_wins(self):
         grid = choose_grid(np.zeros((10, 10), np.uint8), (40, 24))
         assert (grid.block_w, grid.block_h) == (40, 24)
@@ -184,6 +194,24 @@ class TestRunLabt:
         ]
         assert res.out_of_range_count == 0
         assert res.non_overlap_count == 0
+
+    @pytest.mark.parametrize("seed_global", [True, False])
+    def test_one_selection_per_block_row_and_no_histogram(self, monkeypatch, rng, seed_global):
+        calls = []
+
+        def counting(method, hist):
+            calls.append(np.shape(hist))
+            return select_threshold(method, hist)
+
+        def forbidden(img):
+            raise AssertionError("run_labt must not call histogram")
+
+        monkeypatch.setattr(labt.engine, "select_threshold", counting)
+        monkeypatch.setattr(labt.image_core, "histogram", forbidden)
+        img = rng.integers(0, 256, (50, 70), dtype=np.uint8)
+        res = run_labt(img, LabtConfig(block_w=8, block_h=16, seed_global=seed_global))
+        rows, cols = res.grid.rows, res.grid.cols
+        assert calls == [(cols, 256)] * rows + [(256,)] * seed_global
 
     def test_constant_image(self):
         img = np.full((20, 20), 90, np.uint8)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -66,6 +68,12 @@ class TestReadPgm:
     def test_p2_sample_beyond_maxval(self):
         with pytest.raises(PgmError, match="sample"):
             read_pgm(b"P2 1 1 100 150")
+
+    def test_p5_sample_beyond_maxval(self):
+        with pytest.raises(PgmError, match="sample value 200 exceeds maxval 100"):
+            read_pgm(b"P5 1 1 100 " + bytes([200]))
+        with pytest.raises(PgmError, match="sample value 101 exceeds maxval 100"):
+            read_pgm(b"P5 3 1 100 " + bytes([100, 101, 250]))
 
     def test_p2_header_larger_than_payload_rejected_up_front(self):
         # 10^12 samples cannot fit in the six bytes that follow the header
@@ -164,6 +172,14 @@ class TestPadCrop:
         padded = pad_to_multiple(np.array([[9]], np.uint8), 2, 2)
         assert padded.tolist() == [[9, 9], [9, 9]]
 
+    @pytest.mark.parametrize("orient", ORIENTATIONS)
+    def test_pad_noop_returns_fresh_c_contiguous_copy(self, orient):
+        img = np.arange(16, dtype=np.uint8).reshape(4, 4)
+        view = orient(img)
+        padded = pad_to_multiple(view, 2, 2)
+        assert padded.flags.c_contiguous and not np.shares_memory(padded, img)
+        assert_array_equal(padded, view)
+
     @given(small_images, st.integers(1, 8), st.integers(1, 8))
     def test_pad_then_crop_is_identity(self, img, bw, bh):
         padded = pad_to_multiple(img, bw, bh)
@@ -200,3 +216,18 @@ class TestStatistics:
         img = rng.integers(0, 256, (9, 9), dtype=np.uint8)
         reflected = (255 - img.astype(np.int16)).astype(np.uint8)
         assert variance(img) == pytest.approx(variance(reflected), rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(700, 300), (3, 200_000), (1, 140_000)])
+    def test_histogram_matches_bincount_across_bands(self, rng, shape):
+        # taller and wider than one 2**17-pixel band
+        img = rng.integers(0, 256, shape, dtype=np.uint8)
+        assert_array_equal(histogram(img), np.bincount(img.ravel(), minlength=256))
+        assert histogram(img).dtype == np.int64
+
+    def test_variance_is_exact(self, rng):
+        for _ in range(40):
+            shape = tuple(int(x) for x in rng.integers(1, 60, 2))
+            img = rng.integers(0, 256, shape, dtype=np.uint8)
+            values = [int(v) for v in img.ravel()]
+            n, s1, s2 = len(values), sum(values), sum(v * v for v in values)
+            assert variance(img) == float(Fraction(n * s2 - s1**2, n * n))

@@ -14,7 +14,7 @@ from labt.thresholders import (
     niblack_binarize,
     select_threshold,
 )
-from oracles import niblack_naive, otsu_exhaustive
+from oracles import niblack_naive, otsu_exhaustive, select_threshold_scalar
 
 
 def hist_of(values):
@@ -91,6 +91,82 @@ class TestSelectThreshold:
             assert 0 <= select_threshold(method, h) <= 255
 
 
+def random_stack(rng, n):
+    """Histogram stack mixing the shapes that stress threshold selection."""
+    stack = np.zeros((n, 256), np.int64)
+    for row in stack:
+        kind = int(rng.integers(0, 6))
+        if kind == 0:  # dense, small counts
+            row[:] = rng.integers(0, 40, 256)
+        elif kind == 1:  # a few spikes with counts up to 10**12
+            row[rng.integers(0, 256, int(rng.integers(1, 6)))] = rng.integers(1, 10**12)
+        elif kind == 2:  # plateau: a run of equal counts
+            lo = int(rng.integers(0, 200))
+            row[lo : lo + int(rng.integers(1, 56))] = rng.integers(1, 1000)
+        elif kind == 3:  # equal spikes at equal spacing: the splits tie exactly
+            gap = int(rng.integers(1, 64))
+            start = int(rng.integers(0, 256 - 2 * gap))
+            row[[start, start + gap, start + 2 * gap]] = rng.integers(1, 10**12)
+        elif kind == 4:  # a single level
+            row[rng.integers(0, 256)] = rng.integers(1, 10**12)
+        else:  # sparse, huge counts
+            row[:] = rng.integers(0, 10**12, 256) * (rng.random(256) < 0.1)
+            row[int(rng.integers(0, 256))] += 1
+    return stack
+
+
+class TestBatchedSelection:
+    METHODS = [Otsu(), Adcdf(rho=0.5), Adcdf(rho=0.13), MeanK(k=-0.2), MeanK(k=1.7)]
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_stack_matches_scalar_reference_row_by_row(self, rng, method):
+        stack = random_stack(rng, 1200)
+        got = select_threshold(method, stack)
+        assert got.shape == (1200,)
+        assert got.tolist() == [select_threshold_scalar(method, row) for row in stack]
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_single_histogram_returns_int(self, rng, method):
+        for row in random_stack(rng, 60):
+            t = select_threshold(method, row)
+            assert type(t) is int and t == select_threshold_scalar(method, row)
+
+    def test_otsu_stack_matches_exhaustive_oracle(self, rng):
+        stack = random_stack(rng, 90)
+        got = select_threshold(Otsu(), stack)
+        assert got.tolist() == [otsu_exhaustive(row) for row in stack]
+
+    def test_meank_rounds_half_away_from_zero(self):
+        # k=0 thresholds at the mean: 2.5, 0.5 and 4.5 round up, not to even
+        stack = np.stack([hist_of([0, 5]), hist_of([0, 1]), hist_of([4, 5])])
+        assert select_threshold(MeanK(k=0.0), stack).tolist() == [3, 1, 5]
+        assert [select_threshold_scalar(MeanK(k=0.0), h) for h in stack] == [3, 1, 5]
+
+    def test_meank_huge_k_clamps(self):
+        # k * stddev overflows to +-inf; the scalar code raised OverflowError
+        stack = np.stack([hist_of([0, 255]), hist_of([7])])
+        assert select_threshold(MeanK(k=1e308), stack).tolist() == [255, 7]
+        assert select_threshold(MeanK(k=-1e308), stack).tolist() == [0, 7]
+
+    def test_exact_tie_goes_to_smallest_split(self):
+        # splits at 11 and 21 score the same; 11 wins
+        stack = np.zeros((2, 256), np.int64)
+        stack[0, [10, 20, 30]] = 7
+        stack[1, [10, 20, 30]] = 10**12
+        assert select_threshold(Otsu(), stack).tolist() == [11, 11]
+        assert otsu_exhaustive(stack[1]) == 11
+
+    def test_stack_validation(self):
+        good = hist_of([1, 2, 3])
+        with pytest.raises(ValueError, match="empty region"):
+            select_threshold(Otsu(), np.stack([good, np.zeros(256, np.int64)]))
+        with pytest.raises(ValueError, match="256 non-negative"):
+            select_threshold(Otsu(), np.stack([good, -good]))
+        for shape in [(255,), (2, 255), (1, 2, 256), ()]:
+            with pytest.raises(ValueError, match="256 non-negative"):
+                select_threshold(Otsu(), np.ones(shape, np.int64))
+
+
 class TestBinarizeGlobal:
     def test_convention(self):
         out = binarize_global(np.array([[0, 255]], np.uint8), 128)
@@ -133,6 +209,11 @@ class TestNiblack:
                     niblack_binarize(img, NiblackParams(window=window, k=k)),
                     niblack_naive(img, window, k),
                 )
+
+    def test_huge_k_labels_all_or_nothing(self):
+        img = np.array([[0, 255, 10], [40, 90, 200]], np.uint8)
+        assert not niblack_binarize(img, NiblackParams(window=3, k=1e308)).any()
+        assert niblack_binarize(img, NiblackParams(window=3, k=-1e308)).all()
 
     def test_window_validation(self):
         with pytest.raises(ValueError, match="window"):
