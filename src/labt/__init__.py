@@ -1,8 +1,8 @@
 """Block-adaptive image binarization with continuity-constrained thresholds.
 
 The package exports the user-facing API; engine internals such as
-``choose_grid`` or ``neighbor_range`` stay importable from their modules
-(``labt.engine``, ``labt.image_core``, ``labt.thresholders``, ...).
+``choose_grid`` or the batched scan helper ``neighbor_range`` stay
+importable from their modules (``labt.engine``, ``labt.image_core``, ...).
 """
 
 from .engine import LabtConfig, LabtResult, run_labt

@@ -2,12 +2,12 @@
 
 The image is split into equal blocks and processed in three stages. Each
 block first gets a base threshold from its 256-bin histogram; one
-``np.bincount`` per block row counts each pixel once. A raster
-scan, the one sequential stage, then lets the thresholds of each block's
-finished up/left neighbors dictate ranges of values that classify its
-border lines exactly as those neighbors do, and clamps the base threshold
-into the intersection of the ranges; a neighbor beyond the grid edge
-contributes the full range 0..255. Last, one compare labels every pixel.
+``np.bincount`` per block row counts each pixel once. A scan over the
+anti-diagonals of the grid, the one sequential stage, then clamps each
+base threshold into the ranges of values that classify the block's border
+lines exactly as its finished up/left neighbors do; a neighbor beyond the
+grid edge contributes the full range 0..255. Last, one compare labels
+every pixel.
 
 Two range modes exist. ``strict`` (default) guarantees that the shared
 border pixels of adjacent blocks receive identical labels under both
@@ -20,34 +20,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
-from typing import NamedTuple, Optional
+from numbers import Integral
 
 import numpy as np
 
 from .image_core import as_gray, pad_to_multiple, variance
-from .thresholders import Otsu, ThresholdMethod, select_threshold
+from .thresholders import Adcdf, MeanK, Otsu, ThresholdMethod, select_threshold
 
 __all__ = [
-    "Range",
     "BlockGrid",
     "LabtConfig",
     "LabtResult",
     "choose_grid",
     "neighbor_range",
-    "effective_range",
     "resolve_empty",
-    "clamp_to_range",
     "run_labt",
 ]
 
 _MODES = ("strict", "paper")
-
-
-class Range(NamedTuple):
-    """Closed integer interval of admissible thresholds."""
-
-    lo: int
-    hi: int
 
 
 @dataclass(frozen=True)
@@ -66,18 +56,25 @@ class LabtConfig:
     automatically from the image variance."""
 
     method: ThresholdMethod = Otsu()
-    block_w: Optional[int] = None
-    block_h: Optional[int] = None
+    block_w: int | None = None
+    block_h: int | None = None
     mode: str = "strict"
     seed_global: bool = True
 
     def __post_init__(self) -> None:
         if (self.block_w is None) != (self.block_h is None):
             raise ValueError("block_w and block_h must be given together")
-        if self.block_w is not None and (self.block_w < 2 or self.block_h < 2):
-            raise ValueError("block dimensions must be at least 2")
+        sides = () if self.block_w is None else (self.block_w, self.block_h)
+        if any(isinstance(s, bool) or not isinstance(s, Integral) for s in sides):
+            raise ValueError(f"block dimensions must be integers, got {sides}")
+        if any(s < 2 for s in sides):
+            raise ValueError(f"block dimensions must be at least 2, got {sides}")
+        if not isinstance(self.method, (Otsu, Adcdf, MeanK)):
+            raise ValueError(f"unknown threshold method {self.method!r}")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        if not isinstance(self.seed_global, (bool, np.bool_)):
+            raise ValueError(f"seed_global must be a bool, got {self.seed_global!r}")
 
 
 @dataclass(frozen=True)
@@ -88,7 +85,8 @@ class LabtResult:
     ``thresholds`` the values actually applied, and ``range_lo``/``range_hi``
     the effective range recorded per block (the applied threshold always
     lies inside it; blocks whose neighbor ranges were disjoint record the
-    degenerate range around the resolved threshold).
+    degenerate range around the resolved threshold). ``binary`` is
+    C-contiguous but may be a view of a larger, padded label array.
     """
 
     binary: np.ndarray
@@ -102,7 +100,7 @@ class LabtResult:
     padded: np.ndarray
 
 
-def choose_grid(img, override: Optional[tuple[int, int]] = None) -> BlockGrid:
+def choose_grid(img, override: tuple[int, int] | None = None) -> BlockGrid:
     """Pick block dimensions and the padded grid covering the image.
 
     Without an override the block side follows the image spread: busier
@@ -138,92 +136,56 @@ def choose_grid(img, override: Optional[tuple[int, int]] = None) -> BlockGrid:
     )
 
 
-def neighbor_range(t_neighbor: int, border_line, mode: str = "strict") -> Range:
-    """Range of thresholds that classify ``border_line`` like the neighbor.
+def neighbor_range(t_neighbor, border_lines, mode: str = "strict"):
+    """Ranges of thresholds that classify each border line like its neighbor.
 
-    The border pixels are bracketed around ``t_neighbor``: the closest
-    border value below it (or a sentinel below the intensity domain) sets
-    the exclusive lower end, the closest value above it the inclusive upper
-    end. Pixels equal to ``t_neighbor`` are dropped first; in strict mode
-    their presence instead caps the range at ``t_neighbor`` so they cannot
-    flip label. The result always contains ``t_neighbor``.
+    Row i of the ``(n, L)`` ``border_lines`` is bracketed around
+    ``t_neighbor[i]``: the closest value below it (or -1) sets the exclusive
+    lower end, the closest above it (or 255) the inclusive upper end. Strict
+    mode (any other mode is paper) counts pixels equal to the threshold as
+    above it, so they cap the range there and cannot flip label. Each range
+    contains its threshold; returns ``(n,)`` lo and hi.
     """
-    if not 0 <= t_neighbor <= 255:
-        raise ValueError(f"threshold must lie in 0..255, got {t_neighbor}")
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    line = np.asarray(border_line).ravel()
-    if line.size == 0:
-        raise ValueError("border line must be non-empty")
-    others = line[line != t_neighbor]
-    below = others[others < t_neighbor]
-    above = others[others > t_neighbor]
-    # Sentinels -1 and 256 sit outside the 8-bit domain so that 0 and 255
-    # still get bracketed; the final clamp restores valid intensities.
-    nearest_below = int(below.max()) if below.size else -1
-    nearest_above = int(above.min()) if above.size else 256
-    lo = max(nearest_below + 1, 0)
-    hi = min(nearest_above, 255)
-    if mode == "strict" and others.size != line.size:
-        hi = t_neighbor
-    return Range(lo, hi)
+    lines = np.asarray(border_lines, dtype=np.int16)
+    if lines.shape[-1] == 0:
+        raise ValueError("border lines must be non-empty")
+    t = np.asarray(t_neighbor)[:, None]
+    above = lines >= t if mode == "strict" else lines > t
+    lo = np.where(lines < t, lines, -1).max(axis=1) + 1
+    hi = np.where(above, lines, 255).min(axis=1)
+    return lo, hi
 
 
-def effective_range(first: Range, second: Range) -> Optional[Range]:
-    """Intersect two ranges; None marks an empty intersection."""
-    lo = max(first.lo, second.lo)
-    hi = min(first.hi, second.hi)
-    if lo > hi:
-        return None
-    return Range(lo, hi)
+def resolve_empty(candidates, base, top, left):
+    """Pick fallback thresholds for blocks whose neighbor ranges are disjoint.
 
-
-def resolve_empty(
-    ur: Range,
-    lr: Range,
-    ot: int,
-    top_border,
-    left_border,
-    t_up: int,
-    t_left: int,
-) -> int:
-    """Pick a fallback threshold when the neighbor ranges do not overlap.
-
-    Candidates are the four range endpoints and the two neighbor
-    thresholds; the winner leaves the fewest border pixels classified
-    differently from the neighbors, breaking ties toward the candidate
-    nearest the block's base threshold, then the smallest value.
+    Row i of the ``(m, 6)`` ``candidates`` holds the up and left ranges'
+    ends, then ``t_up`` and ``t_left``. The winner leaves the fewest pixels
+    of ``top[i]`` and ``left[i]`` labeled unlike the neighbors label them,
+    breaking ties toward the candidate nearest ``base[i]``, then the smallest.
     """
-    top = np.asarray(top_border).ravel()
-    left = np.asarray(left_border).ravel()
-    candidates = sorted({ur.lo, ur.hi, lr.lo, lr.hi, t_up, t_left})
-
-    def disagreements(c: int) -> int:
-        top_bad = np.count_nonzero((top >= c) != (top >= t_up))
-        left_bad = np.count_nonzero((left >= c) != (left >= t_left))
-        return int(top_bad + left_bad)
-
-    return min(candidates, key=lambda c: (disagreements(c), abs(c - ot), c))
-
-
-def clamp_to_range(ot: int, r: Range) -> int:
-    """Return ot unchanged if inside r, else the nearest extreme of r."""
-    if r.lo > r.hi:
-        raise ValueError(f"invalid range {r}")
-    return min(max(ot, r.lo), r.hi)
+    cand = np.asarray(candidates, dtype=np.int64)
+    top, left = np.asarray(top)[:, None], np.asarray(left)[:, None]
+    t_up, t_left = cand[:, 4, None, None], cand[:, 5, None, None]
+    bad = ((top >= cand[..., None]) != (top >= t_up)).sum(-1)
+    bad += ((left >= cand[..., None]) != (left >= t_left)).sum(-1)
+    # Candidates and distances lie in 0..255, so the key orders
+    # (disagreements, distance, value) lexicographically.
+    key = (bad * 512 + abs(cand - np.asarray(base)[:, None])) * 512 + cand
+    return cand[np.arange(len(cand)), key.argmin(axis=1)]
 
 
 def run_labt(img, cfg: LabtConfig = LabtConfig()) -> LabtResult:
     """Binarize an image block by block under the continuity constraint.
 
     Stages: base thresholds, one :func:`select_threshold` call per block
-    row; a scan top-left to bottom-right so the up and left neighbors are
-    always finished first; the labels. The first block applies the
-    threshold of the summed block histograms, the padded image's, when
-    ``cfg.seed_global`` is set (its own base threshold otherwise); every
-    later block clamps its base threshold into the range dictated by its
-    neighbors, and counts an out-of-range event when clamping moved it.
-    Disjoint neighbor ranges are resolved by :func:`resolve_empty` and
+    row; a scan of the anti-diagonals r + c = d, each a batch of blocks
+    whose up and left neighbors are finished; the labels. The first block
+    applies the summed block histograms' threshold, the padded image's,
+    when ``cfg.seed_global`` is set (its own base threshold otherwise);
+    every later block clamps its base threshold into the range dictated by
+    its neighbors, and counts an out-of-range event when clamping moved
+    it. Disjoint neighbor ranges are resolved by :func:`resolve_empty` and
     counted separately. The output is cropped back to the input size.
     """
     arr = as_gray(img)
@@ -247,43 +209,38 @@ def run_labt(img, cfg: LabtConfig = LabtConfig()) -> LabtResult:
         final[0, 0] = select_threshold(cfg.method, page)
     range_lo = np.zeros((rows, cols), dtype=np.int32)
     range_hi = np.full((rows, cols), 255, dtype=np.int32)
-    out_of_range = 0
     non_overlap = 0
 
-    # The first block keeps the full range. On the grid edge t_up/t_left
-    # index other blocks, unused: the full range is never disjoint.
-    for i in range(1, rows * cols):
-        r, c = divmod(i, cols)
-        ys, xs = r * bh, c * bw
-        top_border = padded[ys, xs : xs + bw]
-        left_border = padded[ys : ys + bh, xs]
-        t_up, t_left = int(final[r - 1, c]), int(final[r, c - 1])
-        up = neighbor_range(t_up, top_border, cfg.mode) if r else Range(0, 255)
-        left = neighbor_range(t_left, left_border, cfg.mode) if c else Range(0, 255)
-        ot = int(base[r, c])
-        rng = effective_range(up, left)
-        if rng is None:
-            non_overlap += 1
-            t = resolve_empty(up, left, ot, top_border, left_border, t_up, t_left)
-            rng = Range(t, t)
-        else:
-            t = clamp_to_range(ot, rng)
-
-        if not rng.lo <= ot <= rng.hi:
-            out_of_range += 1
-        final[r, c] = t
-        range_lo[r, c] = rng.lo
-        range_hi[r, c] = rng.hi
+    # Row 0's t_up and column 0's t_left wrap to other blocks; 0..255 stands in.
+    for d in range(1, rows + cols - 1):
+        r = np.arange(max(0, d - cols + 1), min(d, rows - 1) + 1)
+        c = d - r
+        t_up, t_left = final[r - 1, c], final[r, c - 1]
+        top, left = blocks[r, 0, c], blocks[r, :, c, 0]
+        up_lo, up_hi = neighbor_range(t_up, top, cfg.mode)
+        left_lo, left_hi = neighbor_range(t_left, left, cfg.mode)
+        up_lo[r == 0], up_hi[r == 0] = 0, 255
+        left_lo[c == 0], left_hi[c == 0] = 0, 255
+        lo, hi = np.maximum(up_lo, left_lo), np.minimum(up_hi, left_hi)
+        t = np.minimum(np.maximum(base[r, c], lo), hi)
+        empty = lo > hi
+        if empty.any():
+            non_overlap += int(empty.sum())
+            cand = np.stack((up_lo, up_hi, left_lo, left_hi, t_up, t_left), axis=1)
+            t[empty] = lo[empty] = hi[empty] = resolve_empty(
+                cand[empty], base[r, c][empty], top[empty], left[empty]
+            )
+        final[r, c], range_lo[r, c], range_hi[r, c] = t, lo, hi
 
     # Thresholds lie in 0..255, so comparing as uint8 is exact and casts nothing.
     labels = (blocks >= final.astype(np.uint8)[:, None, :, None]).reshape(padded.shape)
     return LabtResult(
-        binary=labels[: arr.shape[0], : arr.shape[1]].copy(),
+        binary=np.ascontiguousarray(labels[: arr.shape[0], : arr.shape[1]]),
         base_thresholds=base,
         thresholds=final,
         range_lo=range_lo,
         range_hi=range_hi,
-        out_of_range_count=out_of_range,
+        out_of_range_count=int(((base < range_lo) | (base > range_hi)).sum()),
         non_overlap_count=non_overlap,
         grid=grid,
         padded=padded,

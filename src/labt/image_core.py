@@ -151,7 +151,7 @@ def write_pgm(img) -> bytes:
     else:
         arr = as_gray(arr)
     height, width = arr.shape
-    return b"P5\n%d %d\n255\n" % (width, height) + arr.tobytes()
+    return b"".join((b"P5\n%d %d\n255\n" % (width, height), np.ascontiguousarray(arr)))
 
 
 def pad_to_multiple(img, block_w: int, block_h: int) -> np.ndarray:

@@ -1,6 +1,6 @@
 """OR-combination of block-thresholded scans in three orientations.
 
-The raster scan propagates constraints from the top-left corner, so
+The scan propagates constraints from the top-left corner, so
 flipping the image before thresholding (and flipping the labels back)
 yields a genuinely different result. Unioning the foreground of the
 identity, vertical-flip and horizontal-flip scans recovers detail that any

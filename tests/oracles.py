@@ -4,27 +4,21 @@ Deliberately slow and literal: each oracle recomputes its answer from the
 definition, without sharing code paths with the library. The exceptions are
 frozen copies of earlier library code that fast paths are checked against:
 :func:`select_threshold_scalar` (one histogram at a time, with the per-level
-exact-integer Otsu loop) and :func:`histogram_flat` (one ``np.bincount``
-over the whole image), and :func:`run_labt_raster`, the original one-loop
-engine built on them. It still calls the library's grid, padding and range
-helpers; engine rewrites are checked against it field by field.
+exact-integer Otsu loop), :func:`histogram_flat` (one ``np.bincount``
+over the whole image), the scalar range helpers :func:`neighbor_range`,
+:func:`effective_range`, :func:`resolve_empty` and :func:`clamp_to_range`,
+and :func:`run_labt_raster`, the original one-loop engine built on them. It
+still calls the library's grid and padding helpers, but shares no scan code
+with the engine; engine rewrites are checked against it field by field.
 """
 
 import math
 from fractions import Fraction
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from labt.engine import (
-    LabtConfig,
-    LabtResult,
-    Range,
-    choose_grid,
-    clamp_to_range,
-    effective_range,
-    neighbor_range,
-    resolve_empty,
-)
+from labt.engine import LabtConfig, LabtResult, choose_grid
 from labt.image_core import as_gray, pad_to_multiple
 from labt.thresholders import Adcdf, MeanK, Otsu
 
@@ -183,6 +177,91 @@ def select_threshold_scalar(method, hist: np.ndarray) -> int:
         std = math.sqrt(max(sq - mean * mean, 0.0))
         return min(max(_round_half_away(mean + method.k * std), 0), 255)
     raise TypeError(f"unknown threshold method {method!r}")
+
+
+_MODES = ("strict", "paper")
+
+
+class Range(NamedTuple):
+    """Closed integer interval of admissible thresholds."""
+
+    lo: int
+    hi: int
+
+
+def neighbor_range(t_neighbor: int, border_line, mode: str = "strict") -> Range:
+    """Range of thresholds that classify ``border_line`` like the neighbor.
+
+    The border pixels are bracketed around ``t_neighbor``: the closest
+    border value below it (or a sentinel below the intensity domain) sets
+    the exclusive lower end, the closest value above it the inclusive upper
+    end. Pixels equal to ``t_neighbor`` are dropped first; in strict mode
+    their presence instead caps the range at ``t_neighbor`` so they cannot
+    flip label. The result always contains ``t_neighbor``.
+    """
+    if not 0 <= t_neighbor <= 255:
+        raise ValueError(f"threshold must lie in 0..255, got {t_neighbor}")
+    if mode not in _MODES:
+        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+    line = np.asarray(border_line).ravel()
+    if line.size == 0:
+        raise ValueError("border line must be non-empty")
+    others = line[line != t_neighbor]
+    below = others[others < t_neighbor]
+    above = others[others > t_neighbor]
+    # Sentinels -1 and 256 sit outside the 8-bit domain so that 0 and 255
+    # still get bracketed; the final clamp restores valid intensities.
+    nearest_below = int(below.max()) if below.size else -1
+    nearest_above = int(above.min()) if above.size else 256
+    lo = max(nearest_below + 1, 0)
+    hi = min(nearest_above, 255)
+    if mode == "strict" and others.size != line.size:
+        hi = t_neighbor
+    return Range(lo, hi)
+
+
+def effective_range(first: Range, second: Range) -> Optional[Range]:
+    """Intersect two ranges; None marks an empty intersection."""
+    lo = max(first.lo, second.lo)
+    hi = min(first.hi, second.hi)
+    if lo > hi:
+        return None
+    return Range(lo, hi)
+
+
+def resolve_empty(
+    ur: Range,
+    lr: Range,
+    ot: int,
+    top_border,
+    left_border,
+    t_up: int,
+    t_left: int,
+) -> int:
+    """Pick a fallback threshold when the neighbor ranges do not overlap.
+
+    Candidates are the four range endpoints and the two neighbor
+    thresholds; the winner leaves the fewest border pixels classified
+    differently from the neighbors, breaking ties toward the candidate
+    nearest the block's base threshold, then the smallest value.
+    """
+    top = np.asarray(top_border).ravel()
+    left = np.asarray(left_border).ravel()
+    candidates = sorted({ur.lo, ur.hi, lr.lo, lr.hi, t_up, t_left})
+
+    def disagreements(c: int) -> int:
+        top_bad = np.count_nonzero((top >= c) != (top >= t_up))
+        left_bad = np.count_nonzero((left >= c) != (left >= t_left))
+        return int(top_bad + left_bad)
+
+    return min(candidates, key=lambda c: (disagreements(c), abs(c - ot), c))
+
+
+def clamp_to_range(ot: int, r: Range) -> int:
+    """Return ot unchanged if inside r, else the nearest extreme of r."""
+    if r.lo > r.hi:
+        raise ValueError(f"invalid range {r}")
+    return min(max(ot, r.lo), r.hi)
 
 
 def run_labt_raster(img, cfg: LabtConfig = LabtConfig()) -> LabtResult:

@@ -83,8 +83,8 @@ def test_criterion_02_range_oracle():
         t = int(rng.integers(0, 256))
         border = rng.integers(0, 256, int(rng.integers(1, 20)))
         for mode in ("strict", "paper"):
-            got = neighbor_range(t, border, mode)
-            assert (got.lo, got.hi) == admissible_interval(t, border, mode), (
+            lo, hi = neighbor_range([t], [border], mode)
+            assert (lo[0], hi[0]) == admissible_interval(t, border, mode), (
                 t,
                 border.tolist(),
                 mode,

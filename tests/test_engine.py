@@ -9,10 +9,7 @@ from numpy.testing import assert_array_equal
 from labt.engine import (
     LabtConfig,
     LabtResult,
-    Range,
     choose_grid,
-    clamp_to_range,
-    effective_range,
     neighbor_range,
     resolve_empty,
     run_labt,
@@ -31,32 +28,38 @@ from oracles import (
 )
 
 
+def one_range(t, border, mode="strict"):
+    """neighbor_range of a single row, as a pair of ints."""
+    lo, hi = neighbor_range([t], [border], mode)
+    return int(lo[0]), int(hi[0])
+
+
 class TestNeighborRange:
     def test_mixed_border(self):
-        assert neighbor_range(100, [90, 120, 100], "paper") == Range(91, 120)
-        assert neighbor_range(100, [90, 120, 100], "strict") == Range(91, 100)
+        assert one_range(100, [90, 120, 100], "paper") == (91, 120)
+        assert one_range(100, [90, 120, 100], "strict") == (91, 100)
 
     def test_border_all_equal_to_threshold(self):
-        assert neighbor_range(100, [100, 100, 100], "paper") == Range(0, 255)
-        assert neighbor_range(100, [100, 100, 100], "strict") == Range(0, 100)
+        assert one_range(100, [100, 100, 100], "paper") == (0, 255)
+        assert one_range(100, [100, 100, 100], "strict") == (0, 100)
 
     def test_tight_bracket(self):
-        assert neighbor_range(100, [99, 101], "paper") == Range(100, 101)
-        assert neighbor_range(100, [99, 101], "strict") == Range(100, 101)
+        assert one_range(100, [99, 101], "paper") == (100, 101)
+        assert one_range(100, [99, 101], "strict") == (100, 101)
 
     @pytest.mark.parametrize("mode", ["strict", "paper"])
     def test_extreme_thresholds_stay_in_domain(self, mode):
-        assert neighbor_range(0, [0, 0], mode).lo == 0
-        assert neighbor_range(255, [255, 255], mode).hi == 255
+        assert one_range(0, [0, 0], mode)[0] == 0
+        assert one_range(255, [255, 255], mode)[1] == 255
 
     @pytest.mark.parametrize("mode", ["strict", "paper"])
     def test_matches_bruteforce_interval_oracle(self, rng, mode):
         for _ in range(400):
             t = int(rng.integers(0, 256))
             border = rng.integers(0, 256, int(rng.integers(1, 24)))
-            got = neighbor_range(t, border, mode)
-            assert (got.lo, got.hi) == admissible_interval(t, border, mode)
-            assert got.lo <= t <= got.hi
+            lo, hi = one_range(t, border, mode)
+            assert (lo, hi) == admissible_interval(t, border, mode)
+            assert lo <= t <= hi
 
     @given(
         st.integers(0, 255),
@@ -64,35 +67,113 @@ class TestNeighborRange:
         st.sampled_from(["strict", "paper"]),
     )
     def test_oracle_equivalence_property(self, t, border, mode):
-        got = neighbor_range(t, border, mode)
-        assert (got.lo, got.hi) == admissible_interval(t, border, mode)
+        assert one_range(t, border, mode) == admissible_interval(t, border, mode)
+
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda length: st.lists(
+                st.tuples(
+                    st.integers(0, 255),
+                    st.lists(st.integers(0, 255), min_size=length, max_size=length),
+                ),
+                min_size=1,
+                max_size=8,
+            )
+        ),
+        st.sampled_from(["strict", "paper"]),
+    )
+    def test_rows_match_single_row_calls(self, rows, mode):
+        ts = np.array([t for t, _ in rows])
+        lines = np.array([line for _, line in rows], dtype=np.uint8)
+        lo, hi = neighbor_range(ts, lines, mode)
+        assert lo.shape == hi.shape == (len(rows),)
+        for i, (t, line) in enumerate(rows):
+            assert (lo[i], hi[i]) == one_range(t, line, mode)
+            assert (lo[i], hi[i]) == admissible_interval(t, line, mode)
 
     def test_empty_border_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            neighbor_range(10, [])
+            neighbor_range([10], np.empty((1, 0), np.uint8))
+
+
+def dictated_ranges(res, mode):
+    """Per block, the up and left ranges its finished neighbors dictate.
+
+    Brute force through ``admissible_interval``; a neighbor beyond the grid
+    edge dictates the full range 0..255.
+    """
+    grid, t = res.grid, res.thresholds
+    up = np.tile([0, 255], (grid.rows, grid.cols, 1))
+    left = up.copy()
+    for r in range(grid.rows):
+        for c in range(grid.cols):
+            ys, xs = r * grid.block_h, c * grid.block_w
+            if r:
+                top = res.padded[ys, xs : xs + grid.block_w]
+                up[r, c] = admissible_interval(int(t[r - 1, c]), top, mode)
+            if c:
+                side = res.padded[ys : ys + grid.block_h, xs]
+                left[r, c] = admissible_interval(int(t[r, c - 1]), side, mode)
+    return up, left
+
+
+@pytest.fixture(scope="module")
+def scan_cases():
+    """Runs with many clamped and disjoint blocks, with their dictated ranges."""
+    rng = np.random.default_rng(7)
+    cases = []
+    for levels, mode in [(3, "strict"), (256, "strict"), (3, "paper"), (256, "paper")]:
+        values = rng.integers(0, 256, levels)
+        img = values[rng.integers(0, levels, (30, 27))].astype(np.uint8)
+        res = run_labt(img, LabtConfig(block_w=3, block_h=5, mode=mode))
+        cases.append((res, *dictated_ranges(res, mode)))
+    return cases
 
 
 class TestEffectiveRange:
-    def test_intersection(self):
-        assert effective_range(Range(91, 120), Range(100, 140)) == Range(100, 120)
+    """The recorded range is the intersection of the two dictated ranges."""
 
-    def test_disjoint_gives_none(self):
-        assert effective_range(Range(91, 100), Range(110, 140)) is None
+    def test_intersection(self, scan_cases):
+        seen = 0
+        for res, up, left in scan_cases:
+            lo = np.maximum(up[..., 0], left[..., 0])
+            hi = np.minimum(up[..., 1], left[..., 1])
+            ok = lo <= hi
+            assert_array_equal(res.range_lo[ok], lo[ok])
+            assert_array_equal(res.range_hi[ok], hi[ok])
+            seen += int(ok[1:, 1:].sum())
+        assert seen > 0
 
-    def test_single_neighbor_passthrough(self):
+    def test_disjoint_gives_none(self, scan_cases):
+        seen = 0
+        for res, up, left in scan_cases:
+            empty = np.maximum(up[..., 0], left[..., 0]) > np.minimum(up[..., 1], left[..., 1])
+            # a disjoint block records the degenerate range of its resolved threshold
+            assert int(empty.sum()) == res.non_overlap_count
+            assert_array_equal(res.range_lo[empty], res.thresholds[empty])
+            assert_array_equal(res.range_hi[empty], res.thresholds[empty])
+            seen += res.non_overlap_count
+        assert seen > 0
+
+    def test_single_neighbor_passthrough(self, scan_cases):
         # the full range stands in for a neighbor beyond the grid edge
-        assert effective_range(Range(50, 60), Range(0, 255)) == Range(50, 60)
+        for res, up, left in scan_cases:
+            assert (res.range_lo[0, 0], res.range_hi[0, 0]) == (0, 255)
+            assert_array_equal(res.range_lo[0, 1:], left[0, 1:, 0])
+            assert_array_equal(res.range_hi[0, 1:], left[0, 1:, 1])
+            assert_array_equal(res.range_lo[1:, 0], up[1:, 0, 0])
+            assert_array_equal(res.range_hi[1:, 0], up[1:, 0, 1])
 
 
 class TestResolveEmpty:
     def test_derived_example(self):
         # disjoint up/left ranges; the winner must match an exhaustive
         # scan over the candidate set
-        ur, lr = Range(91, 100), Range(110, 140)
+        ur, lr = (91, 100), (110, 140)
         top = np.array([90, 120, 100], np.uint8)
         left = np.array([130, 130, 130], np.uint8)
         t_up, t_left, ot = 100, 120, 105
-        candidates = sorted({ur.lo, ur.hi, lr.lo, lr.hi, t_up, t_left})
+        candidates = sorted({*ur, *lr, t_up, t_left})
 
         def total(c):
             return border_disagreements(c, top, t_up) + border_disagreements(
@@ -100,40 +181,64 @@ class TestResolveEmpty:
             )
 
         best = min(candidates, key=lambda c: (total(c), abs(c - ot), c))
-        got = resolve_empty(ur, lr, ot, top, left, t_up, t_left)
-        assert got == best
+        got = resolve_empty([[*ur, *lr, t_up, t_left]], [ot], [top], [left])
+        assert got.tolist() == [best]
         # sanity: no threshold outside the candidate set beats the winner
-        assert min(total(c) for c in range(256)) == total(got)
+        assert min(total(c) for c in range(256)) == total(got[0])
 
     def test_degenerate_borders_tie_break_to_nearest_ot(self):
-        ur, lr = Range(0, 10), Range(20, 30)
-        flat = np.full(4, 50, np.uint8)
+        cand = [[0, 10, 20, 30, 5, 25]]
+        flat = np.full((1, 4), 50, np.uint8)
         # all candidates classify the constant borders identically (zero
         # disagreements), so the nearest-to-ot rule decides
-        assert resolve_empty(ur, lr, 21, flat, flat, 5, 25) == 20
-        assert resolve_empty(ur, lr, 2, flat, flat, 5, 25) == 0
+        assert resolve_empty(cand, [21], flat, flat).tolist() == [20]
+        assert resolve_empty(cand, [2], flat, flat).tolist() == [0]
 
     def test_distance_tie_resolved_to_smallest(self):
-        ur, lr = Range(0, 10), Range(20, 30)
-        flat = np.full(4, 50, np.uint8)
+        flat = np.full((1, 4), 50, np.uint8)
         # ot=15 is equidistant from candidates 10 and 20
-        assert resolve_empty(ur, lr, 15, flat, flat, 10, 20) == 10
+        assert resolve_empty([[0, 10, 20, 30, 10, 20]], [15], flat, flat).tolist() == [10]
 
 
 class TestClamp:
-    def test_above(self):
-        assert clamp_to_range(130, Range(100, 120)) == 120
+    """A block with overlapping neighbor ranges clamps its base threshold."""
 
-    def test_inside(self):
-        assert clamp_to_range(110, Range(100, 120)) == 110
+    def clamped(self, scan_cases, where):
+        """(applied, base, lo, hi) of the blocks where ``where(base, lo, hi)``."""
+        picked = []
+        for res, _, _ in scan_cases:
+            base, lo, hi = res.base_thresholds, res.range_lo, res.range_hi
+            pick = where(base, lo, hi)
+            pick[0, 0] = False  # the seeded first block
+            picked.append((res.thresholds[pick], base[pick], lo[pick], hi[pick]))
+        assert sum(t.size for t, *_ in picked) > 0
+        return picked
 
-    def test_below(self):
-        assert clamp_to_range(5, Range(100, 120)) == 100
+    def test_above(self, scan_cases):
+        for t, base, lo, hi in self.clamped(scan_cases, lambda b, lo, hi: b > hi):
+            assert_array_equal(t, hi)
 
-    @given(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255))
-    def test_result_always_inside(self, ot, a, b):
-        r = Range(min(a, b), max(a, b))
-        assert r.lo <= clamp_to_range(ot, r) <= r.hi
+    def test_inside(self, scan_cases):
+        inside = lambda b, lo, hi: (lo <= b) & (b <= hi)
+        for t, base, lo, hi in self.clamped(scan_cases, inside):
+            assert_array_equal(t, base)
+
+    def test_below(self, scan_cases):
+        for t, base, lo, hi in self.clamped(scan_cases, lambda b, lo, hi: b < lo):
+            assert_array_equal(t, lo)
+
+    @given(
+        st.integers(2, 24),
+        st.integers(2, 24),
+        st.integers(2, 6),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["strict", "paper"]),
+    )
+    def test_result_always_inside(self, h, w, block, seed, mode):
+        img = np.random.default_rng(seed).integers(0, 256, (h, w), dtype=np.uint8)
+        res = run_labt(img, LabtConfig(block_w=block, block_h=block, mode=mode))
+        assert (res.range_lo <= res.thresholds).all()
+        assert (res.thresholds <= res.range_hi).all()
 
 
 class TestChooseGrid:
@@ -228,6 +333,16 @@ class TestRunLabt:
         t = select_threshold(Otsu(), histogram(img))
         assert_array_equal(res.binary, img >= t)
 
+    @pytest.mark.parametrize("shape", [(16, 24), (21, 24), (16, 29), (21, 29)])
+    def test_binary_contiguous_for_every_padding(self, rng, shape):
+        # aligned, height-padded, width-padded and both-padded inputs
+        img = rng.integers(0, 256, shape, dtype=np.uint8)
+        res = run_labt(img, LabtConfig(block_w=8, block_h=8))
+        t = np.repeat(np.repeat(res.thresholds, 8, axis=0), 8, axis=1)
+        assert res.binary.flags.c_contiguous
+        assert res.binary.shape == shape and res.binary.dtype == bool
+        assert_array_equal(res.binary, img >= t[: shape[0], : shape[1]])
+
     def test_output_cropped_to_input(self, rng):
         img = rng.integers(0, 256, (21, 13), dtype=np.uint8)
         res = run_labt(img, LabtConfig(block_w=8, block_h=8))
@@ -256,15 +371,15 @@ class TestRunLabt:
             for c in range(grid.cols):
                 ys, xs = r * grid.block_h, c * grid.block_w
                 if r > 0:
-                    rng_up = neighbor_range(
+                    lo, hi = one_range(
                         int(t[r - 1, c]), res.padded[ys, xs : xs + grid.block_w], mode
                     )
-                    assert rng_up.lo <= t[r - 1, c] <= rng_up.hi
+                    assert lo <= t[r - 1, c] <= hi
                 if c > 0:
-                    rng_left = neighbor_range(
+                    lo, hi = one_range(
                         int(t[r, c - 1]), res.padded[ys : ys + grid.block_h, xs], mode
                     )
-                    assert rng_left.lo <= t[r, c - 1] <= rng_left.hi
+                    assert lo <= t[r, c - 1] <= hi
 
     def test_strict_mode_continuity_on_random_images(self, rng):
         # strict runs without non-overlap events label shared borders
@@ -326,6 +441,25 @@ class TestRunLabt:
             LabtConfig(block_w=4)
         with pytest.raises(ValueError, match="mode"):
             LabtConfig(mode="loose")
+        # non-integer and bool sides, unknown methods, non-bool seeding
+        for kwargs, match in [
+            (dict(block_w=2.5, block_h=4), "integers"),
+            (dict(block_w=4, block_h=4.0), "integers"),
+            (dict(block_w=True, block_h=4), "integers"),
+            (dict(block_w=np.bool_(True), block_h=4), "integers"),
+            (dict(method="otsu"), "threshold method"),
+            (dict(method=None), "threshold method"),
+            (dict(seed_global="no"), "seed_global"),
+            (dict(seed_global=1), "seed_global"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                LabtConfig(**kwargs)
+
+    def test_config_accepts_numpy_integers(self):
+        img = np.arange(96, dtype=np.uint8).reshape(8, 12)
+        cfg = LabtConfig(block_w=np.int64(8), block_h=np.int64(4), seed_global=np.True_)
+        want = run_labt(img, LabtConfig(block_w=8, block_h=4))
+        assert_array_equal(run_labt(img, cfg).thresholds, want.thresholds)
 
     def test_config_replace_keeps_validation(self):
         cfg = LabtConfig(block_w=4, block_h=4)

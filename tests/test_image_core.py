@@ -121,6 +121,14 @@ class TestWritePgm:
         back = read_pgm(write_pgm(mask))
         assert_array_equal(back, np.where(mask, 255, 0))
 
+    @pytest.mark.parametrize("view", [np.flipud, np.fliplr, lambda a: a[::2, ::3]])
+    def test_views_serialize_like_contiguous_copies(self, rng, view):
+        gray = rng.integers(0, 256, (9, 14), dtype=np.uint8)
+        for img in (gray, gray >= 128):
+            strided = view(img)
+            assert not strided.flags.c_contiguous
+            assert write_pgm(strided) == write_pgm(np.ascontiguousarray(strided))
+
 
 class TestFlips:
     def test_vertical_reverses_rows(self):
