@@ -18,6 +18,7 @@ threshold, trading exactness for wider ranges.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import sqrt
 from numbers import Integral
@@ -67,6 +68,11 @@ class LabtConfig:
         sides = () if self.block_w is None else (self.block_w, self.block_h)
         if any(isinstance(s, bool) or not isinstance(s, Integral) for s in sides):
             raise ValueError(f"block dimensions must be integers, got {sides}")
+        if sides:
+            # numpy integers become ints: unsigned ones would wrap in the
+            # grid arithmetic
+            object.__setattr__(self, "block_w", operator.index(self.block_w))
+            object.__setattr__(self, "block_h", operator.index(self.block_h))
         if any(s < 2 for s in sides):
             raise ValueError(f"block dimensions must be at least 2, got {sides}")
         if not isinstance(self.method, (Otsu, Adcdf, MeanK)):

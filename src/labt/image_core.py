@@ -12,6 +12,8 @@ be shared between threads without copying.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 __all__ = [
@@ -25,6 +27,12 @@ __all__ = [
 ]
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
+
+# byte kinds in a P2 payload: 0 separator, 1 "0", 2 "1".."9", 3 any other
+_P2_KIND = np.full(256, 3, dtype=np.uint8)
+_P2_KIND[list(_WHITESPACE)] = 0
+_P2_KIND[ord("0")] = 1
+_P2_KIND[ord("1") : ord("9") + 1] = 2
 
 
 class PgmError(ValueError):
@@ -48,8 +56,11 @@ def as_gray(img) -> np.ndarray:
 def read_pgm(data: bytes) -> np.ndarray:
     """Parse binary (P5) or ASCII (P2) PGM bytes into a grayscale image.
 
-    Header comments (``#`` to end of line) are skipped. Only maxval <= 255
-    is accepted; samples are kept as stored, without rescaling.
+    Comments (``#`` to end of line) are skipped in the header and, in P2,
+    between samples as well; a ``#`` also ends the token it follows. P2
+    bytes past the width*height-th sample are ignored, whatever they hold.
+    Only maxval <= 255 is accepted; samples are kept as stored, without
+    rescaling.
     """
     buf = bytes(data)
     pos = 0
@@ -119,21 +130,51 @@ def read_pgm(data: bytes) -> np.ndarray:
             f"truncated payload: expected {count} samples, "
             f"but only {len(buf) - pos} bytes follow the header"
         )
-    samples = np.empty(count, dtype=np.uint8)
-    for i in range(count):
-        try:
-            tok = token("sample")
-        except PgmError:
-            raise PgmError(
-                f"truncated payload: expected {count} samples, got {i}"
-            ) from None
+    # A "#" ends a token, so turning each comment into one space moves no
+    # token boundary.
+    rest = buf[pos:]
+    if b"#" in rest:
+        rest = re.sub(rb"#[^\r\n]*", b" ", rest)
+    a = np.frombuffer(rest, dtype=np.uint8)
+    kind = _P2_KIND[a]
+    in_token = kind != 0
+    edges = np.flatnonzero(np.diff(in_token, prepend=False, append=False))
+    # samples past width*height are never examined
+    starts, ends = edges[0::2][:count], edges[1::2][:count]
+    n = len(starts)
+    stop = int(ends[-1]) if n else 0
+
+    values = np.zeros(n, dtype=np.int16)
+    for place in range(3):
+        digit = a[ends - 1 - place].astype(np.int16) - ord("0")
+        values += np.where(ends - starts > place, digit * 10**place, 0)
+    # A token is bad if its last three digits exceed maxval, if a nonzero
+    # digit precedes its last three (so it exceeds 999), or if it holds a
+    # byte that is neither a digit nor a separator. The first bad token in
+    # stream order is reported; the count of token ends before a byte is
+    # the index of the token holding it.
+    bad = values > maxval
+    m = max(stop - 3, 0)
+    nonzero_before_last3 = (
+        (kind[:m] == 2) & in_token[1 : m + 1] & in_token[2 : m + 2] & in_token[3 : m + 3]
+    )
+    for p in (_first(kind[:stop] == 3), _first(nonzero_before_last3)):
+        if p is not None:
+            bad[np.searchsorted(ends, p)] = True
+    k = _first(bad)
+    if k is not None:
+        tok = rest[starts[k] : ends[k]]
         if not tok.isdigit():
             raise PgmError(f"non-numeric sample token {tok!r}")
-        value = int(tok)
-        if value > maxval:
-            raise PgmError(f"sample value {value} exceeds maxval {maxval}")
-        samples[i] = value
-    return samples.reshape(height, width)
+        raise PgmError(f"sample value {int(tok)} exceeds maxval {maxval}")
+    if n < count:
+        raise PgmError(f"truncated payload: expected {count} samples, got {n}")
+    return values.astype(np.uint8).reshape(height, width)
+
+
+def _first(mask: np.ndarray) -> int | None:
+    """Index of the first True in a 1-D bool array, or None."""
+    return int(mask.argmax()) if mask.any() else None
 
 
 def write_pgm(img) -> bytes:

@@ -10,6 +10,8 @@ over the whole image), the scalar range helpers :func:`neighbor_range`,
 and :func:`run_labt_raster`, the original one-loop engine built on them. It
 still calls the library's grid and padding helpers, but shares no scan code
 with the engine; engine rewrites are checked against it field by field.
+:func:`read_pgm_loop` is the original PGM reader, which parses P2 samples
+one token at a time.
 """
 
 import math
@@ -19,8 +21,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from labt.engine import LabtConfig, LabtResult, choose_grid
-from labt.image_core import as_gray, pad_to_multiple
+from labt.image_core import PgmError, as_gray, pad_to_multiple
 from labt.thresholders import Adcdf, MeanK, Otsu
+
+_WHITESPACE = b" \t\n\r\x0b\x0c"
 
 
 def otsu_exhaustive(counts):
@@ -114,6 +118,97 @@ def histogram_flat(img):
     """Count pixels per intensity; returns a length-256 int64 array."""
     arr = as_gray(img)
     return np.bincount(arr.ravel(), minlength=256).astype(np.int64)
+
+
+def read_pgm_loop(data: bytes) -> np.ndarray:
+    """The original ``read_pgm``, which parses P2 samples one token at a time.
+
+    Frozen as the reference for the whole-buffer P2 parser: arrays and
+    ``PgmError`` texts must match it on every input.
+    """
+    buf = bytes(data)
+    pos = 0
+
+    def skip_separators() -> None:
+        nonlocal pos
+        while pos < len(buf):
+            if buf[pos] in _WHITESPACE:
+                pos += 1
+            elif buf[pos : pos + 1] == b"#":
+                while pos < len(buf) and buf[pos] not in b"\r\n":
+                    pos += 1
+            else:
+                return
+
+    def token(what: str) -> bytes:
+        nonlocal pos
+        skip_separators()
+        start = pos
+        while pos < len(buf) and buf[pos] not in _WHITESPACE and buf[pos : pos + 1] != b"#":
+            pos += 1
+        if pos == start:
+            raise PgmError(f"truncated header: missing {what}")
+        return buf[start:pos]
+
+    def integer(what: str) -> int:
+        tok = token(what)
+        if not tok.isdigit():
+            raise PgmError(f"non-numeric {what} token {tok!r}")
+        return int(tok)
+
+    magic = token("magic number")
+    if magic not in (b"P2", b"P5"):
+        raise PgmError(f"malformed magic number {magic!r}")
+    width = integer("width")
+    height = integer("height")
+    maxval = integer("maxval")
+    if width < 1 or height < 1:
+        raise PgmError(f"image dimensions must be positive, got {width}x{height}")
+    if maxval > 255:
+        raise PgmError(f"maxval {maxval} exceeds the 8-bit limit of 255")
+    if maxval < 1:
+        raise PgmError(f"maxval must be positive, got {maxval}")
+
+    count = width * height
+    if magic == b"P5":
+        # exactly one whitespace byte separates the maxval from the payload
+        if pos >= len(buf) or buf[pos] not in _WHITESPACE:
+            raise PgmError("missing whitespace between maxval and pixel payload")
+        pos += 1
+        payload = buf[pos : pos + count]
+        if len(payload) < count:
+            raise PgmError(
+                f"truncated payload: expected {count} bytes, got {len(payload)}"
+            )
+        samples = np.frombuffer(payload, dtype=np.uint8)
+        if samples.max() > maxval:
+            value = samples[np.argmax(samples > maxval)]
+            raise PgmError(f"sample value {value} exceeds maxval {maxval}")
+        return samples.reshape(height, width).copy()
+
+    # each sample needs a digit and a separator before it, so a header
+    # claiming more samples than the rest of the file can hold is rejected
+    # before anything is allocated for them
+    if len(buf) - pos < 2 * count:
+        raise PgmError(
+            f"truncated payload: expected {count} samples, "
+            f"but only {len(buf) - pos} bytes follow the header"
+        )
+    samples = np.empty(count, dtype=np.uint8)
+    for i in range(count):
+        try:
+            tok = token("sample")
+        except PgmError:
+            raise PgmError(
+                f"truncated payload: expected {count} samples, got {i}"
+            ) from None
+        if not tok.isdigit():
+            raise PgmError(f"non-numeric sample token {tok!r}")
+        value = int(tok)
+        if value > maxval:
+            raise PgmError(f"sample value {value} exceeds maxval {maxval}")
+        samples[i] = value
+    return samples.reshape(height, width)
 
 
 def _round_half_away(x: float) -> int:

@@ -461,6 +461,13 @@ class TestRunLabt:
         want = run_labt(img, LabtConfig(block_w=8, block_h=4))
         assert_array_equal(run_labt(img, cfg).thresholds, want.thresholds)
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+    def test_config_unsigned_sides_match_int_sides(self, dtype):
+        img = np.arange(96, dtype=np.uint8).reshape(8, 12)
+        cfg = LabtConfig(block_w=dtype(8), block_h=dtype(4))
+        assert type(cfg.block_w) is int and type(cfg.block_h) is int
+        assert_same_result(run_labt(img, cfg), run_labt(img, LabtConfig(block_w=8, block_h=4)))
+
     def test_config_replace_keeps_validation(self):
         cfg = LabtConfig(block_w=4, block_h=4)
         assert dataclasses.replace(cfg, block_w=8, block_h=8).block_w == 8

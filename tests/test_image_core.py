@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_array_equal
@@ -16,7 +16,7 @@ from labt.image_core import (
     write_pgm,
 )
 from labt.multiscan import ORIENTATIONS
-from oracles import variance_two_pass
+from oracles import read_pgm_loop, variance_two_pass
 
 identity, flip_vertical, flip_horizontal = ORIENTATIONS
 
@@ -98,6 +98,100 @@ class TestReadPgm:
         except PgmError:
             return
         assert img.dtype == np.uint8 and img.ndim == 2
+
+
+def p2_outcome(parse, data):
+    """The parsed array, or the text of the PgmError raised."""
+    try:
+        return parse(data)
+    except PgmError as exc:
+        return str(exc)
+
+
+# Sample tokens and separators that each hit one trap of a whole-buffer
+# P2 parse; the loop parser in oracles.py is the reference for all of them.
+p2_tokens = st.one_of(
+    st.integers(0, 300).map(lambda v: b"%d" % v),
+    st.builds(lambda z, v: b"0" * z + b"%d" % v, st.integers(0, 12), st.integers(0, 10**20)),
+    st.sampled_from([b"+5", b"1_0", b"-1", b"0x1", b"\xa0", b"1\x1c", b"\xff9", b"#"]),
+    st.binary(min_size=1, max_size=3),
+)
+p2_separators = st.one_of(
+    st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b""]),
+    st.builds(
+        lambda text, end: b"#" + text + end,
+        st.binary(max_size=4).map(lambda b: b.replace(b"\r", b"").replace(b"\n", b"")),
+        st.sampled_from([b"\r", b"\n", b"\r\n", b""]),
+    ),
+)
+
+
+class TestReadPgmP2:
+    """The whole-buffer P2 parse against the frozen per-sample loop."""
+
+    @settings(max_examples=500)
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 3),
+        st.sampled_from([1, 9, 99, 100, 254, 255]),
+        st.sampled_from([b" ", b"\n", b"#c\n", b"#"]),
+        st.lists(st.tuples(p2_tokens, p2_separators).map(b"".join), max_size=16),
+        st.integers(0, 24),
+    )
+    def test_matches_loop_oracle(self, w, h, maxval, after_header, samples, pad):
+        data = b"P2 %d %d %d" % (w, h, maxval) + after_header + b"".join(samples) + b" " * pad
+        got, want = p2_outcome(read_pgm, data), p2_outcome(read_pgm_loop, data)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert_array_equal(got, want)
+
+    def test_leading_zeros(self):
+        assert read_pgm(b"P2 3 1 255 0007 0000000255 000").tolist() == [[7, 255, 0]]
+
+    @pytest.mark.parametrize(
+        "sample, value",
+        [(b"256", 256), (b"0001000", 1000), (b"12345678901234567890", 12345678901234567890)],
+    )
+    def test_above_maxval(self, sample, value):
+        with pytest.raises(PgmError, match=f"^sample value {value} exceeds maxval 255$"):
+            read_pgm(b"P2 2 1 255 7 " + sample)
+
+    @pytest.mark.parametrize("sample", [b"+5", b"1_0", b"-1", b"0x1"])
+    def test_int_syntax_is_not_a_sample(self, sample):
+        with pytest.raises(PgmError) as info:
+            read_pgm(b"P2 2 1 255 7 " + sample + b"  ")
+        assert str(info.value) == f"non-numeric sample token {sample!r}"
+
+    @pytest.mark.parametrize("byte", [b"\xa0", b"\x1c", b"\xff"])
+    def test_other_bytes_are_token_bytes(self, byte):
+        with pytest.raises(PgmError) as info:
+            read_pgm(b"P2 2 1 255 1" + byte + b"2 3")
+        assert str(info.value) == f"non-numeric sample token {b'1' + byte + b'2'!r}"
+
+    def test_all_six_whitespace_bytes_separate(self):
+        data = b"P2 7 1 255 0 1\t2\n3\r4\x0b5\x0c6"
+        assert read_pgm(data).tolist() == [[0, 1, 2, 3, 4, 5, 6]]
+
+    def test_comments_inside_and_right_after_tokens(self):
+        data = b"P2 4 1 255 1#a 9\r2 #b\n3#\n45#c"
+        assert read_pgm(data).tolist() == [[1, 2, 3, 45]]
+
+    def test_too_few_samples(self):
+        with pytest.raises(PgmError, match="^truncated payload: expected 3 samples, got 2$"):
+            read_pgm(b"P2 3 1 255 1 2 # 3\n  ")
+
+    def test_junk_after_last_sample_ignored(self):
+        assert read_pgm(b"P2 2 1 100 1 2 junk 999 -1").tolist() == [[1, 2]]
+
+    def test_first_error_in_stream_order(self):
+        with pytest.raises(PgmError, match="non-numeric"):
+            read_pgm(b"P2 3 1 100 1 x 200")
+        with pytest.raises(PgmError, match="sample value 200"):
+            read_pgm(b"P2 3 1 100 1 200 x")
+        with pytest.raises(PgmError, match="non-numeric"):
+            read_pgm(b"P2 4 1 100 x 1      ")
 
 
 class TestWritePgm:
