@@ -14,14 +14,8 @@ from time import perf_counter
 
 from .engine import LabtConfig, LabtResult, run_labt
 from .image_core import PgmError, histogram, read_pgm, write_pgm
-from .metrics import (
-    MethodReport,
-    continuity_violations,
-    mean_range_width,
-    psnr,
-    sweep,
-)
-from .multiscan import ORIENTATIONS, or_masks, run_multiscan
+from .metrics import continuity_violations, mean_range_width, psnr, sweep
+from .multiscan import run_multiscan
 from .thresholders import (
     Adcdf,
     MeanK,
@@ -171,11 +165,8 @@ def _labt_config(args, method) -> LabtConfig:
 def _cmd_binarize(args) -> int:
     img = read_pgm(Path(args.input).read_bytes())
     if args.method == "niblack":
-        params = NiblackParams(window=args.window, k=args.k)
-        orientations = ORIENTATIONS if args.multiscan else ORIENTATIONS[:1]
-        binary = or_masks(
-            [orient(niblack_binarize(orient(img), params)) for orient in orientations]
-        )
+        # Niblack's windows clip symmetrically: --multiscan's flipped scans all give this mask.
+        binary = niblack_binarize(img, NiblackParams(window=args.window, k=args.k))
         out_of_range = non_overlap = 0
     else:
         cfg = _block_config(args)
@@ -193,28 +184,6 @@ def _cmd_binarize(args) -> int:
     return 0
 
 
-def _format_db(value: float) -> str:
-    return "inf" if math.isinf(value) else f"{value:.4f}"
-
-
-def _write_report_csv(path: Path, reports: list[MethodReport]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_REPORT_HEADER)
-        for row in reports:
-            writer.writerow(
-                [
-                    row.method,
-                    _format_db(row.psnr_db),
-                    f"{row.elapsed_s:.3f}",
-                    row.out_of_range_count,
-                    row.non_overlap_count,
-                    f"{row.mean_range_width:.4f}",
-                    row.continuity_violations,
-                ]
-            )
-
-
 def _cmd_compare(args) -> int:
     img = read_pgm(Path(args.input).read_bytes())
     outdir = Path(args.outdir)
@@ -229,7 +198,7 @@ def _cmd_compare(args) -> int:
         ("labt_adcdf", lambda: run_labt(img, adcdf_cfg)),
     ]
 
-    reports: list[MethodReport] = []
+    rows = []
     for name, job in jobs:
         start = perf_counter()
         out = job()
@@ -239,17 +208,21 @@ def _cmd_compare(args) -> int:
             stats = (
                 out.out_of_range_count,
                 out.non_overlap_count,
-                mean_range_width(out),
+                f"{mean_range_width(out):.4f}",
                 continuity_violations(out),
             )
         else:
             # methods without block constraints: no events, full-range width
-            binary, stats = out, (0, 0, 256.0, 0)
+            binary, stats = out, (0, 0, f"{256:.4f}", 0)
         _write_output(outdir / f"{name}.pgm", write_pgm(binary))
-        reports.append(MethodReport(name, psnr(img, binary), elapsed, *stats))
+        db = psnr(img, binary)
+        rows.append((name, "inf" if math.isinf(db) else f"{db:.4f}", f"{elapsed:.3f}", *stats))
 
     csv_path = Path(args.csv) if args.csv else outdir / "report.csv"
-    _write_report_csv(csv_path, reports)
+    with open(csv_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(_REPORT_HEADER)
+        writer.writerows(rows)
     print(f"wrote 4 images to {outdir} and report to {csv_path}")
     return 0
 

@@ -25,7 +25,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .image_core import as_gray, pad_to_multiple, variance
+from .image_core import as_gray, variance
 from .thresholders import Adcdf, MeanK, Otsu, ThresholdMethod, select_threshold
 
 __all__ = [
@@ -75,6 +75,9 @@ class LabtConfig:
             object.__setattr__(self, "block_h", operator.index(self.block_h))
         if any(s < 2 for s in sides):
             raise ValueError(f"block dimensions must be at least 2, got {sides}")
+        if any(s > np.iinfo(np.intp).max for s in sides):
+            # numpy cannot index or pad by such a side
+            raise ValueError(f"block dimensions must fit numpy's index type, got {sides}")
         if not isinstance(self.method, (Otsu, Adcdf, MeanK)):
             raise ValueError(f"unknown threshold method {self.method!r}")
         if self.mode not in _MODES:
@@ -197,7 +200,8 @@ def run_labt(img, cfg: LabtConfig = LabtConfig()) -> LabtResult:
     arr = as_gray(img)
     override = None if cfg.block_w is None else (cfg.block_w, cfg.block_h)
     grid = choose_grid(arr, override)
-    padded = pad_to_multiple(arr, grid.block_w, grid.block_h)
+    height, width = arr.shape
+    padded = np.pad(arr, ((0, grid.padded_h - height), (0, grid.padded_w - width)), mode="edge")
 
     rows, cols = grid.rows, grid.cols
     bw, bh = grid.block_w, grid.block_h
@@ -241,7 +245,7 @@ def run_labt(img, cfg: LabtConfig = LabtConfig()) -> LabtResult:
     # Thresholds lie in 0..255, so comparing as uint8 is exact and casts nothing.
     labels = (blocks >= final.astype(np.uint8)[:, None, :, None]).reshape(padded.shape)
     return LabtResult(
-        binary=np.ascontiguousarray(labels[: arr.shape[0], : arr.shape[1]]),
+        binary=np.ascontiguousarray(labels[:height, :width]),
         base_thresholds=base,
         thresholds=final,
         range_lo=range_lo,

@@ -1,4 +1,4 @@
-"""Grayscale/binary image primitives: PGM I/O, padding, statistics.
+"""Grayscale/binary image primitives: PGM I/O and statistics.
 
 Conventions used across the package:
 
@@ -21,12 +21,16 @@ __all__ = [
     "as_gray",
     "read_pgm",
     "write_pgm",
-    "pad_to_multiple",
     "histogram",
     "variance",
 ]
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
+
+# Separators (whitespace, or "#" comments up to a CR or LF), then one header
+# token: the bytes up to the next whitespace or "#". In a bytes pattern, \s
+# matches exactly the six _WHITESPACE bytes.
+_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*([^\s#]*)")
 
 # byte kinds in a P2 payload: 0 separator, 1 "0", 2 "1".."9", 3 any other
 _P2_KIND = np.full(256, 3, dtype=np.uint8)
@@ -60,37 +64,25 @@ def read_pgm(data: bytes) -> np.ndarray:
     between samples as well; a ``#`` also ends the token it follows. P2
     bytes past the width*height-th sample are ignored, whatever they hold.
     Only maxval <= 255 is accepted; samples are kept as stored, without
-    rescaling.
+    rescaling. Malformed data, including a numeric token longer than
+    ``int()`` converts, raises :class:`PgmError`.
     """
     buf = bytes(data)
     pos = 0
 
-    def skip_separators() -> None:
-        nonlocal pos
-        while pos < len(buf):
-            if buf[pos] in _WHITESPACE:
-                pos += 1
-            elif buf[pos : pos + 1] == b"#":
-                while pos < len(buf) and buf[pos] not in b"\r\n":
-                    pos += 1
-            else:
-                return
-
     def token(what: str) -> bytes:
         nonlocal pos
-        skip_separators()
-        start = pos
-        while pos < len(buf) and buf[pos] not in _WHITESPACE and buf[pos : pos + 1] != b"#":
-            pos += 1
-        if pos == start:
+        match = _HEADER_TOKEN.match(buf, pos)
+        pos = match.end()
+        if not match[1]:
             raise PgmError(f"truncated header: missing {what}")
-        return buf[start:pos]
+        return match[1]
 
     def integer(what: str) -> int:
         tok = token(what)
         if not tok.isdigit():
             raise PgmError(f"non-numeric {what} token {tok!r}")
-        return int(tok)
+        return _parse_int(tok, what)
 
     magic = token("magic number")
     if magic not in (b"P2", b"P5"):
@@ -166,10 +158,18 @@ def read_pgm(data: bytes) -> np.ndarray:
         tok = rest[starts[k] : ends[k]]
         if not tok.isdigit():
             raise PgmError(f"non-numeric sample token {tok!r}")
-        raise PgmError(f"sample value {int(tok)} exceeds maxval {maxval}")
+        raise PgmError(f"sample value {_parse_int(tok, 'sample')} exceeds maxval {maxval}")
     if n < count:
         raise PgmError(f"truncated payload: expected {count} samples, got {n}")
     return values.astype(np.uint8).reshape(height, width)
+
+
+def _parse_int(tok: bytes, what: str) -> int:
+    """The value of a digit token; PgmError if int() refuses its length."""
+    try:
+        return int(tok)
+    except ValueError:  # Python's limit on the digits of an int string
+        raise PgmError(f"{what} token of {len(tok)} digits is too long") from None
 
 
 def _first(mask: np.ndarray) -> int | None:
@@ -193,18 +193,6 @@ def write_pgm(img) -> bytes:
         arr = as_gray(arr)
     height, width = arr.shape
     return b"".join((b"P5\n%d %d\n255\n" % (width, height), np.ascontiguousarray(arr)))
-
-
-def pad_to_multiple(img, block_w: int, block_h: int) -> np.ndarray:
-    """Grow an image to the next multiple of the block size by edge replication.
-
-    The original image is the top-left ``img.shape`` corner of the result.
-    """
-    arr = as_gray(img)
-    if block_w < 1 or block_h < 1:
-        raise ValueError("block dimensions must be positive")
-    height, width = arr.shape
-    return np.pad(arr, ((0, -height % block_h), (0, -width % block_w)), mode="edge")
 
 
 def histogram(img) -> np.ndarray:

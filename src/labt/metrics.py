@@ -12,27 +12,12 @@ from .engine import LabtConfig, LabtResult, run_labt
 from .image_core import as_gray
 
 __all__ = [
-    "MethodReport",
     "SweepRow",
     "psnr",
     "mean_range_width",
     "continuity_violations",
     "sweep",
 ]
-
-
-@dataclass(frozen=True)
-class MethodReport:
-    """One comparison-table row. Methods without block constraints report
-    zero counts and the full-range width of 256."""
-
-    method: str
-    psnr_db: float
-    elapsed_s: float
-    out_of_range_count: int
-    non_overlap_count: int
-    mean_range_width: float
-    continuity_violations: int
 
 
 @dataclass(frozen=True)

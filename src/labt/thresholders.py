@@ -151,7 +151,9 @@ def niblack_binarize(img, params: NiblackParams = NiblackParams()) -> np.ndarray
     """
     arr = as_gray(img)
     height, width = arr.shape
-    reach = params.window // 2
+    # every reach past the image clips to the same bounds; the cap keeps
+    # the index arithmetic inside int64
+    reach = min(params.window // 2, max(height, width))
     vals = arr.astype(np.int64)
 
     integral = np.zeros((height + 1, width + 1), dtype=np.int64)

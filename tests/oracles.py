@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from labt.engine import LabtConfig, LabtResult, choose_grid
-from labt.image_core import PgmError, as_gray, pad_to_multiple
+from labt.image_core import PgmError, as_gray
 from labt.thresholders import Adcdf, MeanK, Otsu
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
@@ -374,7 +374,8 @@ def run_labt_raster(img, cfg: LabtConfig = LabtConfig()) -> LabtResult:
     arr = as_gray(img)
     override = None if cfg.block_w is None else (cfg.block_w, cfg.block_h)
     grid = choose_grid(arr, override)
-    padded = pad_to_multiple(arr, grid.block_w, grid.block_h)
+    height, width = arr.shape
+    padded = np.pad(arr, ((0, -height % grid.block_h), (0, -width % grid.block_w)), mode="edge")
 
     rows, cols = grid.rows, grid.cols
     bw, bh = grid.block_w, grid.block_h
@@ -442,7 +443,7 @@ def run_labt_raster(img, cfg: LabtConfig = LabtConfig()) -> LabtResult:
             labels[ys : ys + bh, xs : xs + bw] = block >= t
 
     return LabtResult(
-        binary=labels[: arr.shape[0], : arr.shape[1]].copy(),
+        binary=labels[:height, :width].copy(),
         base_thresholds=base,
         thresholds=final,
         range_lo=range_lo,

@@ -112,6 +112,23 @@ class TestBinarize:
         assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("block", ["1180591620717411303424x2", "2x9223372036854775808"])
+    def test_side_past_int64_fails_with_one_error_line(self, doc_image, tmp_path, capsys, block):
+        inp, _ = doc_image
+        out = tmp_path / "o.pgm"
+        assert main(["binarize", str(inp), str(out), "--block", block]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: block dimensions must fit") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_niblack_window_past_int64_runs(self, doc_image, tmp_path):
+        inp, img = doc_image
+        out = tmp_path / "o.pgm"
+        args = ["binarize", str(inp), str(out), "--method", "niblack"]
+        assert main(args + ["--window", "36893488147419103233"]) == 0
+        whole = niblack_binarize(img, NiblackParams(window=2 * max(img.shape) + 1))
+        assert_array_equal(read_pgm(out.read_bytes()), np.where(whole, 255, 0))
+
     def test_paper_mode_and_no_global_seed_accepted(self, doc_image, tmp_path):
         inp, _ = doc_image
         out = tmp_path / "o.pgm"
@@ -291,14 +308,27 @@ _pgm_like = st.one_of(
     ),
 )
 _side = st.integers(-1, 64)
+# values past int64: numpy cannot index with them, but argparse accepts them
+_huge = st.integers(2**63, 2**70)
 _common_flags = [
     st.tuples(st.just("--method"), st.sampled_from(["otsu", "adcdf", "meank", "niblack", "x"])),
     st.tuples(st.just("--k"), st.sampled_from(["-0.2", "0", "3.5", "-9", "1e308", "inf", "x"])),
     st.tuples(st.just("--rho"), st.sampled_from(["0.5", "0.01", "0.99", "0.3", "0", "nan"])),
-    st.tuples(st.just("--window"), st.sampled_from(["3", "5", "15", "99", "4", "-5"])),
+    st.tuples(
+        st.just("--window"),
+        st.one_of(
+            st.sampled_from(["3", "5", "15", "99", "4", "-5"]), _huge.map(lambda n: str(n | 1))
+        ),
+    ),
     st.tuples(
         st.just("--block"),
-        st.one_of(st.just("auto"), st.just("8"), st.builds("{}x{}".format, _side, _side)),
+        st.one_of(
+            st.just("auto"),
+            st.just("8"),
+            st.builds("{}x{}".format, _side, _side),
+            st.builds("{}x{}".format, _huge, _side),
+            st.builds("{}x{}".format, _side, _huge),
+        ),
     ),
     st.tuples(st.just("--mode"), st.sampled_from(["strict", "paper"])),
     st.just(("--no-global-seed",)),
@@ -309,7 +339,9 @@ _command_flags = {
     "sweep": [
         st.tuples(
             st.just("--sizes"),
-            st.lists(st.integers(0, 64), max_size=4).map(lambda xs: ",".join(map(str, xs))),
+            st.lists(st.one_of(st.integers(0, 64), _huge), max_size=4).map(
+                lambda xs: ",".join(map(str, xs))
+            ),
         )
     ],
 }

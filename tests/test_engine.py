@@ -468,6 +468,13 @@ class TestRunLabt:
         assert type(cfg.block_w) is int and type(cfg.block_h) is int
         assert_same_result(run_labt(img, cfg), run_labt(img, LabtConfig(block_w=8, block_h=4)))
 
+    @pytest.mark.parametrize("side", [2**63, 2**70 + 1])
+    def test_config_rejects_sides_numpy_cannot_index(self, side):
+        for sides in [(side, 2), (2, side)]:
+            with pytest.raises(ValueError, match="numpy's index type"):
+                LabtConfig(block_w=sides[0], block_h=sides[1])
+        assert LabtConfig(block_w=2**63 - 1, block_h=2).block_w == 2**63 - 1
+
     def test_config_replace_keeps_validation(self):
         cfg = LabtConfig(block_w=4, block_h=4)
         assert dataclasses.replace(cfg, block_w=8, block_h=8).block_w == 8

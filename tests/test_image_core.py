@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -7,20 +8,30 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_array_equal
 
-from labt.image_core import (
-    PgmError,
-    histogram,
-    pad_to_multiple,
-    read_pgm,
-    variance,
-    write_pgm,
-)
+from labt.engine import LabtConfig, run_labt
+from labt.image_core import PgmError, histogram, read_pgm, variance, write_pgm
 from labt.multiscan import ORIENTATIONS
 from oracles import read_pgm_loop, variance_two_pass
 
 identity, flip_vertical, flip_horizontal = ORIENTATIONS
 
 small_images = arrays(np.uint8, st.tuples(st.integers(1, 24), st.integers(1, 24)))
+
+# Header bytes: separators (all six whitespace bytes, comments ending at CR,
+# LF or EOF), each followed by a digit run, a non-digit token or nothing.
+header_pieces = st.lists(
+    st.tuples(
+        st.sampled_from(
+            [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"\r\n", b""]
+            + [b"#", b"#c\r", b"# 5\n", b"#\x0b\n", b"#\x0c\r"]
+        ),
+        st.sampled_from([b"0", b"7", b"255", b"012", b"x", b"\xa0", b"-1", b""]),
+    ).map(b"".join),
+    max_size=6,
+).map(b"".join)
+
+# 0 where int() takes any number of digits
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 class TestReadPgm:
@@ -80,6 +91,7 @@ class TestReadPgm:
         with pytest.raises(PgmError, match="truncated payload"):
             read_pgm(b"P2 1000000 1000000 255 1 2 3")
 
+    @settings(max_examples=500)
     @given(
         st.one_of(
             st.binary(max_size=64),
@@ -90,17 +102,39 @@ class TestReadPgm:
                 st.from_regex(r"[0-9]{1,7} [0-9]{1,7} [0-9]{1,4}\s", fullmatch=True),
                 st.binary(max_size=32),
             ),
+            st.builds(
+                bytes.__add__, st.sampled_from([b"P2", b"P5", b"P"]), header_pieces
+            ).flatmap(lambda head: st.binary(max_size=16).map(head.__add__)),
         )
     )
     def test_arbitrary_bytes_raise_only_pgm_error(self, data):
-        try:
-            img = read_pgm(data)
-        except PgmError:
-            return
-        assert img.dtype == np.uint8 and img.ndim == 2
+        got, want = pgm_outcome(read_pgm, data), pgm_outcome(read_pgm_loop, data)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got.dtype == np.uint8 and got.ndim == 2
+            assert_array_equal(got, want)
+
+    @pytest.mark.skipif(
+        not 0 < INT_DIGIT_LIMIT < 5000, reason="int() takes 5000-digit strings here"
+    )
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"P2 " + b"9" * 5000 + b" 1 255 0", "width token of 5000 digits is too long"),
+            (b"P5 1 " + b"0" * 5000 + b" 255 \x00", "height token of 5000 digits is too long"),
+            (b"P2 1 1 " + b"9" * 5000 + b" 0", "maxval token of 5000 digits is too long"),
+            (b"P2 1 1 255 " + b"9" * 5000, "sample token of 5000 digits is too long"),
+        ],
+        ids=["width", "height", "maxval", "sample"],
+    )
+    def test_token_longer_than_int_converts(self, data, message):
+        with pytest.raises(PgmError) as info:
+            read_pgm(data)
+        assert str(info.value) == message
 
 
-def p2_outcome(parse, data):
+def pgm_outcome(parse, data):
     """The parsed array, or the text of the PgmError raised."""
     try:
         return parse(data)
@@ -140,7 +174,7 @@ class TestReadPgmP2:
     )
     def test_matches_loop_oracle(self, w, h, maxval, after_header, samples, pad):
         data = b"P2 %d %d %d" % (w, h, maxval) + after_header + b"".join(samples) + b" " * pad
-        got, want = p2_outcome(read_pgm, data), p2_outcome(read_pgm_loop, data)
+        got, want = pgm_outcome(read_pgm, data), pgm_outcome(read_pgm_loop, data)
         if isinstance(want, str):
             assert got == want
         else:
@@ -254,9 +288,11 @@ class TestFlips:
 
 
 class TestPadCrop:
+    """The edge-replicated page ``run_labt`` thresholds, kept in ``padded``."""
+
     def test_pad_replicates_edges(self):
         img = np.arange(25, dtype=np.uint8).reshape(5, 5)
-        padded = pad_to_multiple(img, 4, 4)
+        padded = run_labt(img, LabtConfig(block_w=4, block_h=4)).padded
         assert padded.shape == (8, 8)
         for c in range(5, 8):
             assert_array_equal(padded[:, c], padded[:, 4])
@@ -266,27 +302,31 @@ class TestPadCrop:
 
     def test_pad_noop_when_already_multiple(self):
         img = np.zeros((8, 8), np.uint8)
-        padded = pad_to_multiple(img, 4, 4)
+        padded = run_labt(img, LabtConfig(block_w=4, block_h=4)).padded
         assert padded.shape == (8, 8)
-        assert padded is not img
-
-    def test_pad_single_pixel(self):
-        padded = pad_to_multiple(np.array([[9]], np.uint8), 2, 2)
-        assert padded.tolist() == [[9, 9], [9, 9]]
+        assert not np.shares_memory(padded, img)
 
     @pytest.mark.parametrize("orient", ORIENTATIONS)
     def test_pad_noop_returns_fresh_c_contiguous_copy(self, orient):
         img = np.arange(16, dtype=np.uint8).reshape(4, 4)
         view = orient(img)
-        padded = pad_to_multiple(view, 2, 2)
+        padded = run_labt(view, LabtConfig(block_w=2, block_h=2)).padded
         assert padded.flags.c_contiguous and not np.shares_memory(padded, img)
         assert_array_equal(padded, view)
 
-    @given(small_images, st.integers(1, 8), st.integers(1, 8))
+    @given(
+        arrays(np.uint8, st.tuples(st.integers(2, 24), st.integers(2, 24))),
+        st.integers(2, 8),
+        st.integers(2, 8),
+    )
     def test_pad_then_crop_is_identity(self, img, bw, bh):
-        padded = pad_to_multiple(img, bw, bh)
+        res = run_labt(img, LabtConfig(block_w=bw, block_h=bh))
+        padded = res.padded
+        assert padded.shape == (res.grid.padded_h, res.grid.padded_w)
         assert padded.shape[0] % bh == 0 and padded.shape[1] % bw == 0
+        assert padded.shape[0] - bh < img.shape[0] and padded.shape[1] - bw < img.shape[1]
         assert_array_equal(padded[: img.shape[0], : img.shape[1]], img)
+        assert res.binary.shape == img.shape
 
 
 class TestStatistics:

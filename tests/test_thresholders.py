@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_array_equal
 
 from labt.image_core import histogram
+from labt.multiscan import ORIENTATIONS
 from labt.thresholders import (
     Adcdf,
     MeanK,
@@ -214,6 +216,25 @@ class TestNiblack:
         img = np.array([[0, 255, 10], [40, 90, 200]], np.uint8)
         assert not niblack_binarize(img, NiblackParams(window=3, k=1e308)).any()
         assert niblack_binarize(img, NiblackParams(window=3, k=-1e308)).all()
+
+    @given(
+        arrays(np.uint8, st.tuples(st.integers(1, 20), st.integers(1, 20))),
+        st.integers(1, 16),
+        st.floats(-2, 2),
+    )
+    def test_flipped_back_orientations_equal_plain(self, img, reach, k):
+        params = NiblackParams(window=2 * reach + 1, k=k)
+        plain = niblack_binarize(img, params)
+        for orient in ORIENTATIONS:
+            assert_array_equal(orient(niblack_binarize(orient(img), params)), plain)
+
+    @pytest.mark.parametrize("window", [2**65 + 1, 2**127 + 1])
+    def test_window_past_int64_clips_like_the_whole_image(self, rng, window):
+        img = rng.integers(0, 256, (6, 9), dtype=np.uint8)
+        assert_array_equal(
+            niblack_binarize(img, NiblackParams(window=window, k=0.3)),
+            niblack_binarize(img, NiblackParams(window=19, k=0.3)),
+        )
 
     def test_window_validation(self):
         with pytest.raises(ValueError, match="window"):
