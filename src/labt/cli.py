@@ -138,20 +138,17 @@ def _write_output(path, data: bytes) -> None:
             fh.truncate()
 
 
-def _block_config(args) -> LabtConfig:
-    if args.method == "otsu":
-        method = Otsu()
-    elif args.method == "adcdf":
-        method = Adcdf(rho=args.rho)
-    elif args.method == "meank":
-        method = MeanK(k=args.k)
-    else:
-        raise ValueError(f"{args.method} is not a block thresholder")
-    return _labt_config(args, method)
-
-
-def _labt_config(args, method) -> LabtConfig:
-    """The block, mode and seeding options of ``args`` around ``method``."""
+def _labt_config(args, method=None) -> LabtConfig:
+    """``args``' block, mode and seeding options around ``method``, by default ``--method``'s."""
+    if method is None:
+        if args.method == "otsu":
+            method = Otsu()
+        elif args.method == "adcdf":
+            method = Adcdf(rho=args.rho)
+        elif args.method == "meank":
+            method = MeanK(k=args.k)
+        else:
+            raise ValueError(f"{args.method} is not a block thresholder")
     block_w, block_h = args.block if args.block else (None, None)
     return LabtConfig(
         method=method,
@@ -169,7 +166,7 @@ def _cmd_binarize(args) -> int:
         binary = niblack_binarize(img, NiblackParams(window=args.window, k=args.k))
         out_of_range = non_overlap = 0
     else:
-        cfg = _block_config(args)
+        cfg = _labt_config(args)
         if args.multiscan:
             result = run_multiscan(img, cfg)
             binary = result.combined
@@ -237,7 +234,7 @@ def _cmd_sweep(args) -> int:
         files = [path]
     else:
         raise OSError(f"no such input: {path}")
-    cfg = _block_config(args)
+    cfg = _labt_config(args)
 
     per_image: list[tuple[str, object]] = []
     for file in files:

@@ -1,13 +1,13 @@
 """Core block-thresholding engine with the continuity constraint.
 
-The image is split into equal blocks and processed in three stages. Each
-block first gets a base threshold from its 256-bin histogram; one
-``np.bincount`` per block row counts each pixel once. A scan over the
-anti-diagonals of the grid, the one sequential stage, then clamps each
-base threshold into the ranges of values that classify the block's border
-lines exactly as its finished up/left neighbors do; a neighbor beyond the
-grid edge contributes the full range 0..255. Last, one compare labels
-every pixel.
+The image is split into equal blocks, sized by the config or else by the
+image spread, and processed in three stages. Each block first gets a base
+threshold from its 256-bin histogram; one ``np.bincount`` per block row
+counts each pixel once. A scan over the anti-diagonals of the grid, the
+one sequential stage, then clamps each base threshold into the ranges of
+values that classify the block's border lines exactly as its finished
+up/left neighbors do; a neighbor beyond the grid edge contributes the full
+range 0..255. Last, one compare labels every pixel.
 
 Two range modes exist. ``strict`` (default) guarantees that the shared
 border pixels of adjacent blocks receive identical labels under both
@@ -109,21 +109,18 @@ class LabtResult:
     padded: np.ndarray
 
 
-def choose_grid(img, override: tuple[int, int] | None = None) -> BlockGrid:
-    """Pick block dimensions and the padded grid covering the image.
+def choose_grid(arr: np.ndarray, cfg: LabtConfig = LabtConfig()) -> BlockGrid:
+    """Pick block dimensions and the padded grid covering a grayscale image.
 
-    Without an override the block side follows the image spread: busier
-    images get smaller blocks (side 64 for stddev < 32, then 32, then 16
-    for stddev >= 64).
+    ``cfg``'s block sides are used when set; otherwise the side follows
+    the image spread: busier images get smaller blocks (side 64 for
+    stddev < 32, then 32, then 16 for stddev >= 64).
     """
-    arr = as_gray(img)
     height, width = arr.shape
     if height < 2 or width < 2:
         raise ValueError("image must be at least 2x2 pixels")
-    if override is not None:
-        block_w, block_h = override
-        if block_w < 2 or block_h < 2:
-            raise ValueError("block dimensions must be at least 2")
+    if cfg.block_w is not None:
+        block_w, block_h = cfg.block_w, cfg.block_h
     else:
         spread = sqrt(variance(arr))
         if spread < 32:
@@ -198,8 +195,7 @@ def run_labt(img, cfg: LabtConfig = LabtConfig()) -> LabtResult:
     counted separately. The output is cropped back to the input size.
     """
     arr = as_gray(img)
-    override = None if cfg.block_w is None else (cfg.block_w, cfg.block_h)
-    grid = choose_grid(arr, override)
+    grid = choose_grid(arr, cfg)
     height, width = arr.shape
     padded = np.pad(arr, ((0, grid.padded_h - height), (0, grid.padded_w - width)), mode="edge")
 

@@ -11,7 +11,9 @@ intensity is >= the threshold.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Union
 
 import numpy as np
@@ -71,6 +73,10 @@ class NiblackParams:
     k: float = -0.2
 
     def __post_init__(self) -> None:
+        if isinstance(self.window, bool) or not isinstance(self.window, Integral):
+            raise ValueError(f"window must be an integer, got {self.window!r}")
+        # numpy integers become ints: an unsigned reach would turn the window bounds into floats
+        object.__setattr__(self, "window", operator.index(self.window))
         if self.window < 3 or self.window % 2 == 0:
             raise ValueError(f"window must be odd and >= 3, got {self.window}")
         _check_finite_k(self.k)

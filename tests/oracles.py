@@ -372,8 +372,7 @@ def run_labt_raster(img, cfg: LabtConfig = LabtConfig()) -> LabtResult:
     The output is cropped back to the input size.
     """
     arr = as_gray(img)
-    override = None if cfg.block_w is None else (cfg.block_w, cfg.block_h)
-    grid = choose_grid(arr, override)
+    grid = choose_grid(arr, cfg)
     height, width = arr.shape
     padded = np.pad(arr, ((0, -height % grid.block_h), (0, -width % grid.block_w)), mode="edge")
 

@@ -11,8 +11,15 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_array_equal
 
 from labt.cli import main
+from labt.engine import LabtConfig, run_labt
 from labt.image_core import read_pgm, write_pgm
-from labt.thresholders import NiblackParams, niblack_binarize
+from labt.metrics import sweep
+from labt.thresholders import Adcdf, MeanK, NiblackParams, Otsu, niblack_binarize
+
+# --method choices that name a block thresholder, with the method each builds
+# from --rho 0.3 --k 0.4
+_BLOCK_METHODS = [("otsu", Otsu()), ("adcdf", Adcdf(rho=0.3)), ("meank", MeanK(k=0.4))]
+_BLOCK_FLAGS = ["--rho", "0.3", "--k", "0.4", "--mode", "paper", "--no-global-seed"]
 
 
 @pytest.fixture
@@ -128,6 +135,31 @@ class TestBinarize:
         assert main(args + ["--window", "36893488147419103233"]) == 0
         whole = niblack_binarize(img, NiblackParams(window=2 * max(img.shape) + 1))
         assert_array_equal(read_pgm(out.read_bytes()), np.where(whole, 255, 0))
+
+    @pytest.mark.parametrize("name, method", _BLOCK_METHODS)
+    def test_flags_map_to_the_config(self, doc_image, tmp_path, capsys, monkeypatch, name, method):
+        cfg = LabtConfig(method=method, block_w=8, block_h=16, mode="paper", seed_global=False)
+        seen = []
+        monkeypatch.setattr("labt.cli.run_labt", lambda img, c: seen.append(c) or run_labt(img, c))
+        inp, img = doc_image
+        out = tmp_path / "o.pgm"
+        args = ["binarize", str(inp), str(out), "--method", name, "--block", "8x16"]
+        assert main(args + _BLOCK_FLAGS) == 0
+        assert seen == [cfg]
+        res = run_labt(img, cfg)
+        assert out.read_bytes() == write_pgm(res.binary)
+        assert capsys.readouterr().out == (
+            f"out_of_range_count={res.out_of_range_count} "
+            f"non_overlap_count={res.non_overlap_count}\n"
+        )
+
+    def test_other_methods_options_are_not_checked(self, doc_image, tmp_path):
+        # --rho and --k belong to adcdf and meank: a plain otsu run ignores them
+        inp, img = doc_image
+        out = tmp_path / "o.pgm"
+        args = ["binarize", str(inp), str(out), "--method", "otsu", "--rho", "5", "--k", "nan"]
+        assert main(args) == 0
+        assert out.read_bytes() == write_pgm(run_labt(img, LabtConfig()).binary)
 
     def test_paper_mode_and_no_global_seed_accepted(self, doc_image, tmp_path):
         inp, _ = doc_image
@@ -261,6 +293,19 @@ class TestSweep:
         inp, _ = doc_image
         rc = main(["sweep", str(inp), "--csv", str(tmp_path / "s.csv"), "--method", "niblack"])
         assert rc != 0
+
+    @pytest.mark.parametrize("name, method", _BLOCK_METHODS)
+    def test_rows_are_the_library_sweep(self, doc_image, tmp_path, name, method):
+        inp, img = doc_image
+        csv_path = tmp_path / "s.csv"
+        args = ["sweep", str(inp), "--csv", str(csv_path), "--sizes", "8,16", "--method", name]
+        assert main(args + _BLOCK_FLAGS) == 0
+        cfg = LabtConfig(method=method, mode="paper", seed_global=False)
+        expected = [
+            f"doc.pgm,{row.block_size},{row.mean_range_width:.4f},{row.out_of_range_fraction:.6f}"
+            for row in sweep(img, cfg, [8, 16])
+        ]
+        assert csv_path.read_text().splitlines()[1:] == expected
 
     def test_deterministic_csvs(self, doc_image, tmp_path):
         inp, _ = doc_image

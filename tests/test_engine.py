@@ -266,13 +266,13 @@ class TestChooseGrid:
         assert choose_grid(img).block_w == side
 
     def test_override_wins(self):
-        grid = choose_grid(np.zeros((10, 10), np.uint8), (40, 24))
+        grid = choose_grid(np.zeros((10, 10), np.uint8), LabtConfig(block_w=40, block_h=24))
         assert (grid.block_w, grid.block_h) == (40, 24)
         assert (grid.padded_w, grid.padded_h) == (40, 24)
         assert (grid.rows, grid.cols) == (1, 1)
 
     def test_grid_covers_padded_image(self):
-        grid = choose_grid(np.zeros((70, 50), np.uint8), (16, 16))
+        grid = choose_grid(np.zeros((70, 50), np.uint8), LabtConfig(block_w=16, block_h=16))
         assert grid.padded_w == 64 and grid.padded_h == 80
         assert grid.cols == 4 and grid.rows == 5
 

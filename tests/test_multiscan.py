@@ -1,9 +1,8 @@
 import numpy as np
-import pytest
 from numpy.testing import assert_array_equal
 
-from labt.engine import LabtConfig
-from labt.multiscan import or_masks, run_multiscan
+from labt.engine import LabtConfig, run_labt
+from labt.multiscan import ORIENTATIONS, run_multiscan
 
 # seeded-search instance where the flipped scans clamp differently and the
 # union strictly grows the foreground (verified by direct comparison below)
@@ -16,33 +15,6 @@ ASYMMETRIC_IMG = np.array(
     ],
     dtype=np.uint8,
 )
-
-
-class TestOrMasks:
-    def test_union(self):
-        a = np.array([[True, False]])
-        b = np.array([[False, True]])
-        c = np.array([[False, False]])
-        assert or_masks([a, b, c]).tolist() == [[True, True]]
-
-    def test_idempotent(self):
-        m = np.array([[True, False], [False, True]])
-        assert_array_equal(or_masks([m, m, m]), m)
-
-    def test_result_superset_of_each_input(self, rng):
-        masks = [rng.random((6, 6)) < 0.3 for _ in range(3)]
-        combined = or_masks(masks)
-        for m in masks:
-            assert not (m & ~combined).any()
-
-    def test_associative_commutative(self, rng):
-        a, b, c = (rng.random((5, 5)) < 0.5 for _ in range(3))
-        assert_array_equal(or_masks([a, b, c]), or_masks([c, a, b]))
-        assert_array_equal(or_masks([or_masks([a, b]), c]), or_masks([a, or_masks([b, c])]))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimensions"):
-            or_masks([np.zeros((2, 2), bool), np.zeros((2, 3), bool)])
 
 
 class TestRunMultiscan:
@@ -62,7 +34,16 @@ class TestRunMultiscan:
         assert_array_equal(img, img[::-1])
         ms = run_multiscan(img, LabtConfig(block_w=2, block_h=2))
         assert_array_equal(ms.per_scan[0], ms.per_scan[1])
-        assert_array_equal(ms.combined, or_masks([ms.per_scan[0], ms.per_scan[2]]))
+        assert_array_equal(ms.combined, ms.per_scan[0] | ms.per_scan[2])
+
+    def test_combined_is_a_new_union_that_leaves_the_runs_alone(self, rng):
+        img = rng.integers(0, 256, (12, 10), dtype=np.uint8)
+        cfg = LabtConfig(block_w=4, block_h=4)
+        ms = run_multiscan(img, cfg)
+        assert_array_equal(ms.combined, ms.per_scan[0] | ms.per_scan[1] | ms.per_scan[2])
+        for orient, run in zip(ORIENTATIONS, ms.runs):
+            assert not np.shares_memory(ms.combined, run.binary)
+            assert_array_equal(run.binary, run_labt(orient(img), cfg).binary)
 
     def test_union_property(self, rng):
         for _ in range(5):

@@ -246,3 +246,17 @@ class TestNiblack:
     def test_non_finite_k_rejected(self, k):
         with pytest.raises(ValueError, match="k must be finite"):
             NiblackParams(k=k)
+
+    @pytest.mark.parametrize("window", [15.0, 15.5, True])
+    def test_non_integer_window_rejected(self, window):
+        with pytest.raises(ValueError, match="window must be an integer"):
+            NiblackParams(window=window)
+
+    @pytest.mark.parametrize("window", [np.uint64(15), np.int32(15)])
+    def test_numpy_integer_window_matches_int(self, rng, window):
+        img = rng.integers(0, 256, (20, 26), dtype=np.uint8)
+        params = NiblackParams(window=window, k=0.2)
+        assert type(params.window) is int
+        assert_array_equal(
+            niblack_binarize(img, params), niblack_binarize(img, NiblackParams(window=15, k=0.2))
+        )
