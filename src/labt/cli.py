@@ -27,6 +27,7 @@ from .thresholders import (
 )
 
 DEFAULT_SWEEP_SIZES = [8, 16, 32, 64, 128]
+_BLOCK_METHODS = ("otsu", "adcdf", "meank")
 
 _REPORT_HEADER = [
     "method",
@@ -64,28 +65,23 @@ def _parse_sizes(text: str):
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--method",
-        choices=["otsu", "adcdf", "meank", "niblack"],
-        default="otsu",
-        help="threshold selection method (default: otsu)",
-    )
     common.add_argument("--k", type=float, default=-0.2, help="weight for meank/niblack")
     common.add_argument("--rho", type=float, default=0.5, help="CDF area fraction for adcdf")
-    common.add_argument("--window", type=int, default=15, help="odd niblack window size")
-    common.add_argument(
-        "--block",
-        type=_parse_block,
-        default=None,
-        metavar="WxH|auto",
-        help="block dimensions, or 'auto' to pick from image variance (default)",
-    )
     common.add_argument("--mode", choices=["strict", "paper"], default="strict")
     common.add_argument(
         "--no-global-seed",
         dest="seed_global",
         action="store_false",
         help="seed the first block with its own threshold instead of the global one",
+    )
+    blocks = argparse.ArgumentParser(add_help=False, parents=[common])
+    blocks.add_argument("--window", type=int, default=15, help="odd niblack window size")
+    blocks.add_argument(
+        "--block",
+        type=_parse_block,
+        default=None,
+        metavar="WxH|auto",
+        help="block dimensions, or 'auto' to pick from image variance (default)",
     )
 
     parser = argparse.ArgumentParser(
@@ -94,9 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_bin = sub.add_parser("binarize", parents=[common], help="binarize one PGM image")
+    p_bin = sub.add_parser("binarize", parents=[blocks], help="binarize one PGM image")
     p_bin.add_argument("input", help="input PGM path")
     p_bin.add_argument("output", help="output PGM path")
+    p_bin.add_argument("--method", choices=[*_BLOCK_METHODS, "niblack"], default="otsu")
     p_bin.add_argument(
         "--multiscan",
         action="store_true",
@@ -105,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser(
         "compare",
-        parents=[common],
+        parents=[blocks],
         help="run global otsu, niblack and the block methods side by side",
     )
     p_cmp.add_argument("input", help="input PGM path")
@@ -116,6 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", parents=[common], help="range statistics across block sizes"
     )
     p_sweep.add_argument("input", help="PGM file or directory of PGM files")
+    p_sweep.add_argument("--method", choices=_BLOCK_METHODS, default="otsu")
     p_sweep.add_argument("--csv", default="sweep.csv", help="per-image output CSV path")
     p_sweep.add_argument(
         "--sizes",
@@ -124,6 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N,N,...",
         help="square block sizes to sweep (default: 8,16,32,64,128)",
     )
+    # _labt_config reads args.block; sweep takes its block sides from --sizes
+    p_sweep.set_defaults(block=None)
     return parser
 
 
@@ -145,10 +145,8 @@ def _labt_config(args, method=None) -> LabtConfig:
             method = Otsu()
         elif args.method == "adcdf":
             method = Adcdf(rho=args.rho)
-        elif args.method == "meank":
-            method = MeanK(k=args.k)
         else:
-            raise ValueError(f"{args.method} is not a block thresholder")
+            method = MeanK(k=args.k)
     block_w, block_h = args.block if args.block else (None, None)
     return LabtConfig(
         method=method,
@@ -227,7 +225,7 @@ def _cmd_compare(args) -> int:
 def _cmd_sweep(args) -> int:
     path = Path(args.input)
     if path.is_dir():
-        files = sorted(p for p in path.iterdir() if p.suffix.lower() == ".pgm")
+        files = sorted(p for p in path.iterdir() if p.suffix.lower() == ".pgm" and p.is_file())
         if not files:
             raise ValueError(f"no .pgm files in directory {path}")
     elif path.is_file():

@@ -77,8 +77,6 @@ def sweep(img, cfg: LabtConfig, block_sizes: Sequence[int]) -> list[SweepRow]:
     """Run the engine once per square block size and collect range stats."""
     rows = []
     for size in block_sizes:
-        if size < 2:
-            raise ValueError(f"block size must be at least 2, got {size}")
         result = run_labt(img, replace(cfg, block_w=size, block_h=size))
         blocks = result.grid.rows * result.grid.cols
         rows.append(

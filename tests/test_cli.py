@@ -1,3 +1,4 @@
+import argparse
 import subprocess
 import sys
 import tempfile
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_array_equal
 
-from labt.cli import main
+from labt.cli import build_parser, main
 from labt.engine import LabtConfig, run_labt
 from labt.image_core import read_pgm, write_pgm
 from labt.metrics import sweep
@@ -32,6 +33,55 @@ def doc_image(tmp_path):
     path = tmp_path / "doc.pgm"
     path.write_bytes(write_pgm(img))
     return path, img
+
+
+def assert_usage_error(argv, flag, capsys, tmp_path):
+    """``argv`` exits 2 with argparse's error naming ``flag`` and writes nothing."""
+    before = sorted(tmp_path.iterdir())
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err.splitlines()[-1]
+    assert sorted(tmp_path.iterdir()) == before
+
+
+class TestOptions:
+    def test_each_subcommand_takes_only_the_options_it_reads(self):
+        (subcommands,) = [
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        options = {
+            name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+            for name, p in subcommands.choices.items()
+        }
+        shared = {"--k", "--rho", "--mode", "--no-global-seed"}
+        assert options == {
+            "binarize": shared | {"--method", "--window", "--block", "--multiscan"},
+            "compare": shared | {"--window", "--block", "--csv"},
+            "sweep": shared | {"--method", "--csv", "--sizes"},
+        }
+        methods = {
+            name: list(subcommands.choices[name]._option_string_actions["--method"].choices)
+            for name in ["binarize", "sweep"]
+        }
+        assert methods == {
+            "binarize": ["otsu", "adcdf", "meank", "niblack"],
+            "sweep": ["otsu", "adcdf", "meank"],
+        }
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [("sweep", "--block", "4x4"), ("sweep", "--window", "7"), ("compare", "--method", "meank")],
+    )
+    def test_option_of_another_subcommand_rejected(
+        self, doc_image, tmp_path, capsys, command, flag, value
+    ):
+        inp, _ = doc_image
+        positional = {
+            "compare": [str(inp), str(tmp_path / "cmp")],
+            "sweep": [str(inp), "--csv", str(tmp_path / "s.csv"), "--sizes", "8,16"],
+        }[command]
+        assert_usage_error([command, *positional, flag, value], flag, capsys, tmp_path)
 
 
 class TestBinarize:
@@ -291,8 +341,29 @@ class TestSweep:
 
     def test_niblack_rejected(self, doc_image, tmp_path, capsys):
         inp, _ = doc_image
-        rc = main(["sweep", str(inp), "--csv", str(tmp_path / "s.csv"), "--method", "niblack"])
-        assert rc != 0
+        argv = ["sweep", str(inp), "--csv", str(tmp_path / "s.csv"), "--method", "niblack"]
+        assert_usage_error(argv, "--method", capsys, tmp_path)
+
+    def test_non_integer_size_rejected(self, doc_image, tmp_path, capsys):
+        inp, _ = doc_image
+        argv = ["sweep", str(inp), "--csv", str(tmp_path / "s.csv"), "--sizes", "8,x"]
+        assert_usage_error(argv, "sizes must be comma-separated integers", capsys, tmp_path)
+
+    def test_missing_path_fails_with_one_error_line(self, tmp_path, capsys):
+        rc = main(["sweep", str(tmp_path / "nope"), "--csv", str(tmp_path / "s.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: no such input") and err.count("\n") == 1
+        assert sorted(tmp_path.iterdir()) == []
+
+    def test_subdirectory_named_like_a_pgm_skipped(self, tmp_path):
+        indir = tmp_path / "imgs"
+        (indir / "sub.pgm").mkdir(parents=True)
+        (indir / "a.pgm").write_bytes(write_pgm(np.full((16, 16), 90, np.uint8)))
+        csv_path = tmp_path / "s.csv"
+        assert main(["sweep", str(indir), "--csv", str(csv_path), "--sizes", "8"]) == 0
+        rows = csv_path.read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["a.pgm"]
 
     @pytest.mark.parametrize("name, method", _BLOCK_METHODS)
     def test_rows_are_the_library_sweep(self, doc_image, tmp_path, name, method):
@@ -355,10 +426,13 @@ _pgm_like = st.one_of(
 _side = st.integers(-1, 64)
 # values past int64: numpy cannot index with them, but argparse accepts them
 _huge = st.integers(2**63, 2**70)
-_common_flags = [
-    st.tuples(st.just("--method"), st.sampled_from(["otsu", "adcdf", "meank", "niblack", "x"])),
+_shared_flags = [
     st.tuples(st.just("--k"), st.sampled_from(["-0.2", "0", "3.5", "-9", "1e308", "inf", "x"])),
     st.tuples(st.just("--rho"), st.sampled_from(["0.5", "0.01", "0.99", "0.3", "0", "nan"])),
+    st.tuples(st.just("--mode"), st.sampled_from(["strict", "paper"])),
+    st.just(("--no-global-seed",)),
+]
+_block_flags = [
     st.tuples(
         st.just("--window"),
         st.one_of(
@@ -375,13 +449,16 @@ _common_flags = [
             st.builds("{}x{}".format, _side, _huge),
         ),
     ),
-    st.tuples(st.just("--mode"), st.sampled_from(["strict", "paper"])),
-    st.just(("--no-global-seed",)),
 ]
 _command_flags = {
-    "binarize": [st.just(("--multiscan",))],
-    "compare": [],
+    "binarize": [
+        st.tuples(st.just("--method"), st.sampled_from(["otsu", "adcdf", "meank", "niblack", "x"])),
+        st.just(("--multiscan",)),
+        *_block_flags,
+    ],
+    "compare": _block_flags,
     "sweep": [
+        st.tuples(st.just("--method"), st.sampled_from(["otsu", "adcdf", "meank", "x"])),
         st.tuples(
             st.just("--sizes"),
             st.lists(st.one_of(st.integers(0, 64), _huge), max_size=4).map(
@@ -390,10 +467,17 @@ _command_flags = {
         )
     ],
 }
+# valid options of the other subcommands: each must make argparse exit 2
+_foreign_flags = {
+    "binarize": [("--sizes", "8,16")],
+    "compare": [("--method", "otsu"), ("--multiscan",), ("--sizes", "8,16")],
+    "sweep": [("--window", "15"), ("--block", "8x8"), ("--multiscan",)],
+}
 _invocations = st.sampled_from(sorted(_command_flags)).flatmap(
     lambda command: st.tuples(
         st.just(command),
-        st.lists(st.one_of(_common_flags + _command_flags[command]), max_size=4),
+        st.lists(st.one_of(_shared_flags + _command_flags[command]), max_size=4),
+        st.lists(st.sampled_from(_foreign_flags[command]), max_size=1),
     )
 )
 
@@ -401,7 +485,7 @@ _invocations = st.sampled_from(sorted(_command_flags)).flatmap(
 @settings(max_examples=150, deadline=None)
 @given(data=_pgm_like, invocation=_invocations)
 def test_cli_never_tracebacks(data, invocation):
-    command, flags = invocation
+    command, flags, foreign = invocation
     with tempfile.TemporaryDirectory() as tmp:
         inp = Path(tmp) / "in.pgm"
         inp.write_bytes(data)
@@ -410,10 +494,10 @@ def test_cli_never_tracebacks(data, invocation):
             "compare": [str(inp), str(Path(tmp) / "cmp")],
             "sweep": [str(inp), "--csv", str(Path(tmp) / "s.csv")],
         }[command]
-        argv = [command, *positional, *[arg for flag in flags for arg in flag]]
+        argv = [command, *positional, *[arg for flag in flags + foreign for arg in flag]]
         try:
             rc = main(argv)
         except SystemExit as exc:  # argparse rejects the flags
             assert exc.code == 2
         else:
-            assert rc in (0, 1)
+            assert rc in (0, 1) and not foreign

@@ -475,6 +475,26 @@ class TestRunLabt:
                 LabtConfig(block_w=sides[0], block_h=sides[1])
         assert LabtConfig(block_w=2**63 - 1, block_h=2).block_w == 2**63 - 1
 
+    @pytest.mark.parametrize(
+        "img, match",
+        [
+            (np.zeros((4, 4, 3), np.uint8), "non-empty 2-D"),
+            (np.zeros((0, 4), np.uint8), "non-empty 2-D"),
+            (np.zeros((4, 4)), "must be integers, got float64"),
+            (np.zeros((4, 4), bool), "must be integers, got bool"),
+            (np.array([[0, -1], [255, 9]], np.int16), "0..255"),
+            (np.array([[0, 256], [255, 9]], np.int16), "0..255"),
+        ],
+    )
+    def test_rejects_images_that_are_not_8_bit_gray(self, img, match):
+        with pytest.raises(ValueError, match=match):
+            run_labt(img, LabtConfig())
+
+    def test_in_range_int16_image_matches_uint8(self, rng):
+        img = rng.integers(0, 256, (20, 28), dtype=np.uint8)
+        cfg = LabtConfig(block_w=4, block_h=4)
+        assert_same_result(run_labt(img.astype(np.int16), cfg), run_labt(img, cfg))
+
     def test_config_replace_keeps_validation(self):
         cfg = LabtConfig(block_w=4, block_h=4)
         assert dataclasses.replace(cfg, block_w=8, block_h=8).block_w == 8

@@ -236,6 +236,11 @@ class TestWritePgm:
         data = write_pgm(np.array([[False, True]]))
         assert data == b"P5\n2 1\n255\n" + bytes([0, 255])
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_empty_binary_rejected(self, shape):
+        with pytest.raises(ValueError, match="non-empty 2-D binary"):
+            write_pgm(np.zeros(shape, bool))
+
     def test_round_trip_seeded(self, rng):
         img = rng.integers(0, 256, (16, 16), dtype=np.uint8)
         assert_array_equal(read_pgm(write_pgm(img)), img)

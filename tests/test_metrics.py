@@ -124,8 +124,10 @@ class TestSweep:
             assert 1.0 <= row.mean_range_width <= 256.0
 
     def test_size_below_two_rejected(self):
-        with pytest.raises(ValueError, match="block size"):
-            sweep(np.zeros((8, 8), np.uint8), LabtConfig(), [1])
+        # LabtConfig owns the block-side check
+        for size, match in [(1, "at least 2"), (0, "at least 2"), (True, "integers")]:
+            with pytest.raises(ValueError, match=f"block dimensions must be {match}"):
+                sweep(np.zeros((8, 8), np.uint8), LabtConfig(), [size])
 
     def test_mean_range_width_matches_result(self, rng):
         img = rng.integers(0, 256, (16, 16), dtype=np.uint8)

@@ -181,6 +181,11 @@ class TestBinarizeGlobal:
     def test_equality_is_foreground(self):
         assert binarize_global(np.array([[100]], np.uint8), 100).tolist() == [[True]]
 
+    @pytest.mark.parametrize("t", [-1, 256])
+    def test_threshold_outside_0_255_rejected(self, t):
+        with pytest.raises(ValueError, match="threshold must lie in 0..255"):
+            binarize_global(np.zeros((2, 2), np.uint8), t)
+
     @given(st.integers(0, 254))
     def test_monotone_in_threshold(self, t):
         rng = np.random.default_rng(t)
