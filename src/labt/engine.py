@@ -1,13 +1,12 @@
 """Core block-thresholding engine with the continuity constraint.
 
 The image is split into equal blocks, sized by the config or else by the
-image spread, and processed in three stages. Each block first gets a base
-threshold from its 256-bin histogram; one ``np.bincount`` per block row
-counts each pixel once. A scan over the anti-diagonals of the grid, the
-one sequential stage, then clamps each base threshold into the ranges of
-values that classify the block's border lines exactly as its finished
-up/left neighbors do; a neighbor beyond the grid edge contributes the full
-range 0..255. Last, one compare labels every pixel.
+image spread. The base stage thresholds each block from its own 256-bin
+histogram. The scan, the one sequential stage, walks the anti-diagonals of
+the grid and clamps each base threshold into the ranges of values that
+classify the block's border lines exactly as its finished up/left
+neighbors do; a neighbor beyond the grid edge contributes the full range
+0..255. Last, one compare labels every pixel.
 
 Two range modes exist. ``strict`` (default) guarantees that the shared
 border pixels of adjacent blocks receive identical labels under both
@@ -181,63 +180,73 @@ def resolve_empty(candidates, base, top, left):
     return cand[np.arange(len(cand)), key.argmin(axis=1)]
 
 
-def run_labt(img, cfg: LabtConfig = LabtConfig()) -> LabtResult:
-    """Binarize an image block by block under the continuity constraint.
+def _base_thresholds(padded, grid: BlockGrid, method: ThresholdMethod):
+    """Base stage: threshold each block from its own histogram.
 
-    Stages: base thresholds, one :func:`select_threshold` call per block
-    row; a scan of the anti-diagonals r + c = d, each a batch of blocks
-    whose up and left neighbors are finished; the labels. The first block
-    applies the summed block histograms' threshold, the padded image's,
-    when ``cfg.seed_global`` is set (its own base threshold otherwise);
-    every later block clamps its base threshold into the range dictated by
-    its neighbors, and counts an out-of-range event when clamping moved
-    it. Disjoint neighbor ranges are resolved by :func:`resolve_empty` and
-    counted separately. The output is cropped back to the input size.
+    One ``np.bincount`` per block row counts each pixel once, and one
+    :func:`select_threshold` call thresholds the row. Returns the
+    ``(rows, cols)`` thresholds and the padded image's histogram.
     """
-    arr = as_gray(img)
-    grid = choose_grid(arr, cfg)
-    height, width = arr.shape
-    padded = np.pad(arr, ((0, grid.padded_h - height), (0, grid.padded_w - width)), mode="edge")
-
-    rows, cols = grid.rows, grid.cols
-    bw, bh = grid.block_w, grid.block_h
-    blocks = padded.reshape(rows, bh, cols, bw)
-    base = np.empty((rows, cols), dtype=np.int32)
+    base = np.empty((grid.rows, grid.cols), dtype=np.int32)
     page = np.zeros(256, dtype=np.int64)
-    bin_base = np.arange(grid.padded_w) // bw * 256
-    for r in range(rows):
-        band = (bin_base + padded[r * bh : (r + 1) * bh]).ravel()
-        hists = np.bincount(band, minlength=cols * 256).reshape(cols, 256)
-        base[r] = select_threshold(cfg.method, hists)
+    bin_base = np.arange(grid.padded_w) // grid.block_w * 256
+    for r, pixels in enumerate(padded.reshape(grid.rows, grid.block_h, grid.padded_w)):
+        band = (bin_base + pixels).ravel()
+        hists = np.bincount(band, minlength=grid.cols * 256).reshape(grid.cols, 256)
+        base[r] = select_threshold(method, hists)
         page += hists.sum(axis=0)
+    return base, page
+
+
+def _scan(blocks, base, seed, mode: str):
+    """Sequential stage: clamp each base threshold into its neighbors' range.
+
+    ``blocks`` is the padded image's ``(rows, bh, cols, bw)`` view; the first
+    block applies ``seed``. Returns the applied thresholds, the recorded
+    ranges and the mask of blocks whose neighbor ranges were disjoint.
+    """
+    rows, cols = base.shape
     final = base.copy()
-    if cfg.seed_global:
-        final[0, 0] = select_threshold(cfg.method, page)
+    final[0, 0] = seed
     range_lo = np.zeros((rows, cols), dtype=np.int32)
     range_hi = np.full((rows, cols), 255, dtype=np.int32)
-    non_overlap = 0
-
+    disjoint = np.zeros((rows, cols), dtype=bool)
     # Row 0's t_up and column 0's t_left wrap to other blocks; 0..255 stands in.
     for d in range(1, rows + cols - 1):
         r = np.arange(max(0, d - cols + 1), min(d, rows - 1) + 1)
         c = d - r
         t_up, t_left = final[r - 1, c], final[r, c - 1]
         top, left = blocks[r, 0, c], blocks[r, :, c, 0]
-        up_lo, up_hi = neighbor_range(t_up, top, cfg.mode)
-        left_lo, left_hi = neighbor_range(t_left, left, cfg.mode)
+        up_lo, up_hi = neighbor_range(t_up, top, mode)
+        left_lo, left_hi = neighbor_range(t_left, left, mode)
         up_lo[r == 0], up_hi[r == 0] = 0, 255
         left_lo[c == 0], left_hi[c == 0] = 0, 255
         lo, hi = np.maximum(up_lo, left_lo), np.minimum(up_hi, left_hi)
         t = np.minimum(np.maximum(base[r, c], lo), hi)
         empty = lo > hi
         if empty.any():
-            non_overlap += int(empty.sum())
             cand = np.stack((up_lo, up_hi, left_lo, left_hi, t_up, t_left), axis=1)
             t[empty] = lo[empty] = hi[empty] = resolve_empty(
                 cand[empty], base[r, c][empty], top[empty], left[empty]
             )
-        final[r, c], range_lo[r, c], range_hi[r, c] = t, lo, hi
+        final[r, c], range_lo[r, c], range_hi[r, c], disjoint[r, c] = t, lo, hi, empty
+    return final, range_lo, range_hi, disjoint
 
+
+def run_labt(img, cfg: LabtConfig = LabtConfig()) -> LabtResult:
+    """Binarize an image block by block under the continuity constraint.
+
+    Runs :func:`_base_thresholds`, then :func:`_scan` from the padded image's
+    threshold if ``cfg.seed_global`` is set, else from the first block's own.
+    """
+    arr = as_gray(img)
+    grid = choose_grid(arr, cfg)
+    height, width = arr.shape
+    padded = np.pad(arr, ((0, grid.padded_h - height), (0, grid.padded_w - width)), mode="edge")
+    blocks = padded.reshape(grid.rows, grid.block_h, grid.cols, grid.block_w)
+    base, page = _base_thresholds(padded, grid, cfg.method)
+    seed = select_threshold(cfg.method, page) if cfg.seed_global else base[0, 0]
+    final, range_lo, range_hi, disjoint = _scan(blocks, base, seed, cfg.mode)
     # Thresholds lie in 0..255, so comparing as uint8 is exact and casts nothing.
     labels = (blocks >= final.astype(np.uint8)[:, None, :, None]).reshape(padded.shape)
     return LabtResult(
@@ -247,7 +256,7 @@ def run_labt(img, cfg: LabtConfig = LabtConfig()) -> LabtResult:
         range_lo=range_lo,
         range_hi=range_hi,
         out_of_range_count=int(((base < range_lo) | (base > range_hi)).sum()),
-        non_overlap_count=non_overlap,
+        non_overlap_count=int(disjoint.sum()),
         grid=grid,
         padded=padded,
     )

@@ -103,12 +103,9 @@ def read_pgm(data: bytes) -> np.ndarray:
         if pos >= len(buf) or buf[pos] not in _WHITESPACE:
             raise PgmError("missing whitespace between maxval and pixel payload")
         pos += 1
-        payload = buf[pos : pos + count]
-        if len(payload) < count:
-            raise PgmError(
-                f"truncated payload: expected {count} bytes, got {len(payload)}"
-            )
-        samples = np.frombuffer(payload, dtype=np.uint8)
+        if len(buf) - pos < count:
+            raise PgmError(f"truncated payload: expected {count} bytes, got {len(buf) - pos}")
+        samples = np.frombuffer(buf, dtype=np.uint8, count=count, offset=pos)
         if samples.max() > maxval:
             value = samples[np.argmax(samples > maxval)]
             raise PgmError(f"sample value {value} exceeds maxval {maxval}")

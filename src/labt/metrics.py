@@ -58,18 +58,12 @@ def continuity_violations(result: LabtResult) -> int:
     its own and the left neighbor's; each differing pixel counts once.
     Strict-mode runs without non-overlap events always score zero.
     """
-    arr, grid = result.padded, result.grid
-    t = result.thresholds
-    bw, bh = grid.block_w, grid.block_h
-    # Row r*bh is the top border of block row r, column c*bw the left
-    # border of block column c; expand the thresholds on each side of it.
-    top = arr[bh::bh]
-    left = arr[:, bw::bw]
-    below, above = np.repeat(t[1:], bw, axis=1), np.repeat(t[:-1], bw, axis=1)
-    right_of, left_of = np.repeat(t[:, 1:], bh, axis=0), np.repeat(t[:, :-1], bh, axis=0)
+    grid, t = result.grid, result.thresholds
+    blocks = result.padded.reshape(grid.rows, grid.block_h, grid.cols, grid.block_w)
+    top, left = blocks[1:, 0], blocks[:, :, 1:, 0]
     return int(
-        np.count_nonzero((top >= below) != (top >= above))
-        + np.count_nonzero((left >= right_of) != (left >= left_of))
+        np.count_nonzero((top >= t[1:, :, None]) != (top >= t[:-1, :, None]))
+        + np.count_nonzero((left >= t[:, None, 1:]) != (left >= t[:, None, :-1]))
     )
 
 

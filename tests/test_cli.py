@@ -102,6 +102,15 @@ class TestBinarize:
         assert main(["binarize", str(inp), str(out)]) == 0
         assert out.exists()
 
+    def test_block_auto_is_the_default(self, doc_image, tmp_path, capsys):
+        inp, _ = doc_image
+        default, auto = tmp_path / "default.pgm", tmp_path / "auto.pgm"
+        assert main(["binarize", str(inp), str(default)]) == 0
+        printed = capsys.readouterr().out
+        assert main(["binarize", str(inp), str(auto), "--block", "auto"]) == 0
+        assert capsys.readouterr().out == printed
+        assert auto.read_bytes() == default.read_bytes()
+
     def test_multiscan_flag(self, doc_image, tmp_path):
         inp, _ = doc_image
         plain, multi = tmp_path / "a.pgm", tmp_path / "b.pgm"

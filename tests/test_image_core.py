@@ -53,8 +53,16 @@ class TestReadPgm:
         assert read_pgm(data).tolist() == [[9, 10]]
 
     def test_truncated_payload_p5(self):
-        with pytest.raises(PgmError, match="truncated payload"):
+        with pytest.raises(PgmError, match="^truncated payload: expected 4 bytes, got 3$"):
             read_pgm(b"P5 2 2 255 " + bytes([1, 2, 3]))
+
+    @pytest.mark.parametrize("kind", [bytes, bytearray])
+    def test_p5_result_owns_a_writable_copy(self, kind):
+        data = kind(b"P5 2 1 255 " + bytes([7, 9]))
+        img = read_pgm(data)
+        assert img.flags.owndata and img.flags.writeable
+        img[0, 0] = 1
+        assert data[-2:] == kind([7, 9])
 
     def test_truncated_payload_p2(self):
         with pytest.raises(PgmError, match="truncated payload"):

@@ -77,12 +77,17 @@ class TestContinuityViolations:
         assert res.thresholds.tolist() == [[100], [100]]
         assert continuity_violations(res) == 0
 
-    @pytest.mark.parametrize("block", [(3, 5), (6, 4)])
+    # (3, 23) is as tall as the 31x23 image, a one-row grid; (31, 5) is as
+    # wide, a one-column grid. There no neighbor ranges are disjoint, so the
+    # count needs thresholds on pixel values: adjacent levels give them.
+    @pytest.mark.parametrize("block", [(3, 5), (6, 4), (3, 23), (31, 5)])
     def test_matches_per_pixel_bruteforce(self, block):
         bw, bh = block
+        one_line = bw == 31 or bh == 23
+        levels = (99, 100, 101) if one_line else (40, 100, 101, 160, 220)
         nonzero = 0
         for seed in range(6):
-            img = level_noise(31, 23, seed, levels=(40, 100, 101, 160, 220))
+            img = level_noise(31, 23, seed, levels=levels)
             res = run_labt(img, LabtConfig(block_w=bw, block_h=bh, mode="paper"))
             t, arr = res.thresholds, res.padded
             expected = 0

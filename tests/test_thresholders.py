@@ -51,6 +51,10 @@ class TestSelectThreshold:
     def test_constant_region_returns_constant(self, method):
         assert select_threshold(method, hist_of([128] * 9)) == 128
 
+    def test_unknown_method_rejected(self):
+        with pytest.raises(TypeError, match="unknown threshold method 'otsu'"):
+            select_threshold("otsu", hist_of([10, 200]))
+
     def test_empty_region_rejected(self):
         with pytest.raises(ValueError, match="empty region"):
             select_threshold(Otsu(), np.zeros(256, np.int64))
