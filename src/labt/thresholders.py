@@ -65,6 +65,7 @@ class MeanK:
 
 
 ThresholdMethod = Union[Otsu, Adcdf, MeanK]
+_MAX_TOTAL = np.iinfo(np.int64).max // 255**2  # sums of count * level**2 fit int64
 
 
 @dataclass(frozen=True)
@@ -84,25 +85,30 @@ class NiblackParams:
 
 def _otsu_thresholds(counts: np.ndarray) -> np.ndarray:
     # Split t (1..255) puts levels < t in class 0. Only t with counts[t-1] > 0
-    # and pixels at or above t can win: the smallest t wins ties. The float
-    # score w0*w1*(mu1-mu0)^2 is within ~1e-13 of exact since mu1 - mu0 >= 1;
-    # rows with several candidates near the best are rechecked exactly.
+    # and pixels at or above t can win, smallest t on ties. So only levels
+    # occupied in some row are scored, as t = levels[j] + 1: empty columns add
+    # nothing to the cumsums, so each float score is the same bit for bit, and
+    # within ~1e-13 of exact as mu1 - mu0 >= 1; near-best ties are rechecked.
+    levels = np.flatnonzero(counts.any(axis=0))
+    if levels.size < 2:  # no split: the single-level rule picks every row
+        return np.zeros(len(counts), np.int64)
+    counts = counts[:, levels]
     cum = np.cumsum(counts, axis=1)
-    cum_sum = np.cumsum(counts * np.arange(256), axis=1)
+    cum_sum = np.cumsum(counts * levels, axis=1)
     w0, s0 = cum[:, :-1], cum_sum[:, :-1]
     w1, s1 = cum[:, -1:] - w0, cum_sum[:, -1:] - s0
     score = w0 * (w1 * (s1 / np.maximum(w1, 1) - s0 / np.maximum(w0, 1)) ** 2)
     score = np.where((counts[:, :-1] > 0) & (w1 > 0), score, -1.0)
     near = score >= score.max(axis=1, keepdims=True) * (1 - 1e-9)
-    best = near.argmax(axis=1) + 1
+    best = levels[near.argmax(axis=1)] + 1
     for row in np.flatnonzero(near.sum(axis=1) > 1):
         # (s0*w1 - s1*w0)^2 / (w0*w1) compares by cross-multiplication.
         best_num, best_den = -1, 1
-        for t in np.flatnonzero(near[row]).tolist():
-            a0, b0, a1, b1 = (int(x[row, t]) for x in (w0, s0, w1, s1))
+        for j in np.flatnonzero(near[row]).tolist():
+            a0, b0, a1, b1 = (int(x[row, j]) for x in (w0, s0, w1, s1))
             num, den = (b0 * a1 - b1 * a0) ** 2, a0 * a1
             if num * best_den > best_num * den:
-                best_num, best_den, best[row] = num, den, t + 1
+                best_num, best_den, best[row] = num, den, levels[j] + 1
     return best
 
 
@@ -113,13 +119,17 @@ def select_threshold(method: ThresholdMethod, hist: np.ndarray) -> int | np.ndar
     ``(n, 256)`` stack of them, which gives an int array of length n.
     :class:`MeanK` uses the population mean and stddev of the histogram. A
     region with a single intensity returns that intensity regardless of
-    method.
+    method. Rows totalling over ``np.iinfo(np.int64).max // 255**2`` counts
+    (~1.4e14), where the int64 sums could wrap, raise ValueError.
     """
     counts = np.asarray(hist, dtype=np.int64)
     if counts.shape[-1:] != (256,) or counts.ndim > 2 or (counts < 0).any():
         raise ValueError("histogram must be 256 non-negative counts")
     stack = counts.reshape(-1, 256)
     total = stack.sum(axis=1)
+    # the largest count goes first: past the bound the row sums may wrap
+    if stack.max(initial=0) > _MAX_TOTAL or (total > _MAX_TOTAL).any():
+        raise ValueError(f"a region may total at most {_MAX_TOTAL} counts")
     if (total < 1).any():
         raise ValueError("empty region")
 

@@ -121,6 +121,36 @@ def random_stack(rng, n):
     return stack
 
 
+@st.composite
+def sparse_stacks(draw):
+    """Histogram stack whose rows draw their levels from one small pool.
+
+    The union of occupied levels stays narrow (1 to 43 levels): rows that
+    share levels with others and rows that do not, single-level rows,
+    levels 0 and 255, and equal spikes at equal spacing, whose splits tie
+    exactly.
+    """
+    level = st.sampled_from([0, 255]) | st.integers(0, 255)
+    pool = draw(st.lists(level, min_size=1, max_size=40, unique=True))
+    gap = draw(st.integers(1, 127))
+    start = draw(st.integers(0, 255 - 2 * gap))
+    spikes = [start, start + gap, start + 2 * gap]
+    stack = np.zeros((draw(st.integers(1, 12)), 256), np.int64)
+    for row in stack:
+        kind = draw(st.sampled_from(["levels", "single", "tie"]))
+        if kind == "tie":
+            row[spikes] = draw(st.sampled_from([7, 10**12]))
+            continue
+        size = 1 if kind == "single" else draw(st.integers(1, len(pool)))
+        levels = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size, unique=True))
+        row[levels] = draw(st.lists(st.integers(1, 10**12), min_size=size, max_size=size))
+    return stack
+
+
+# past this row total the level-weighted int64 sums can wrap
+COUNT_BOUND = np.iinfo(np.int64).max // 255**2
+
+
 class TestBatchedSelection:
     METHODS = [Otsu(), Adcdf(rho=0.5), Adcdf(rho=0.13), MeanK(k=-0.2), MeanK(k=1.7)]
 
@@ -171,6 +201,65 @@ class TestBatchedSelection:
         for shape in [(255,), (2, 255), (1, 2, 256), ()]:
             with pytest.raises(ValueError, match="256 non-negative"):
                 select_threshold(Otsu(), np.ones(shape, np.int64))
+
+    @pytest.mark.parametrize("method", METHODS)
+    @given(stack=sparse_stacks())
+    def test_sparse_union_matches_scalar_reference_row_by_row(self, method, stack):
+        got = select_threshold(method, stack)
+        assert got.tolist() == [select_threshold_scalar(method, row) for row in stack]
+        if isinstance(method, Otsu):
+            assert got[:3].tolist() == [otsu_exhaustive(row) for row in stack[:3]]
+
+    @pytest.mark.parametrize(
+        "levels",
+        [
+            [[77], [77], [77]],  # the union is one level
+            [[0], [255], [0, 255]],  # a union of exactly two levels
+            [[100, 101], [101], [100]],
+            [[0], [3], [255], [128]],  # one level per row, different rows
+        ],
+    )
+    @pytest.mark.parametrize("method", METHODS)
+    def test_narrow_unions_match_scalar_reference(self, method, levels):
+        stack = np.zeros((len(levels), 256), np.int64)
+        for i, row in enumerate(levels):
+            stack[i, row] = np.arange(1, len(row) + 1) * (i + 2)
+        got = select_threshold(method, stack)
+        assert got.tolist() == [select_threshold_scalar(method, row) for row in stack]
+
+    @pytest.mark.parametrize(
+        "method, levels, count",
+        [
+            # unchecked, the Otsu cumsums wrap and pick 201, not 11
+            (Otsu(), [10, 200, 250], 10**17),
+            # unchecked, the row total wraps negative: "empty region"
+            (Adcdf(rho=0.5), [3, 7], 2**62),
+            # unchecked, the sum of count * level**2 wraps: 128, not 102
+            (MeanK(k=-0.2), [0, 255], 2 * 10**14),
+        ],
+    )
+    def test_total_past_the_bound_rejected(self, method, levels, count):
+        h = np.zeros(256, np.int64)
+        h[levels] = count
+        with pytest.raises(ValueError, match="may total at most"):
+            select_threshold(method, h)
+        with pytest.raises(ValueError, match="may total at most"):
+            select_threshold(method, np.stack([hist_of([1, 2]), h]))
+
+    @pytest.mark.parametrize("method", METHODS)
+    @given(st.data())
+    def test_total_bound_is_exact(self, method, data):
+        # a row may total the bound; 1 to 2**63 - 1 - bound more counts at
+        # any level, up to a single count of 2**63 - 1, are rejected
+        levels = data.draw(st.lists(st.integers(0, 255), min_size=2, max_size=8, unique=True))
+        split = data.draw(st.integers(1, COUNT_BOUND - 1))
+        row = np.zeros(256, np.int64)
+        row[levels[0]], row[levels[1]] = split, COUNT_BOUND - split
+        assert select_threshold(method, row) == select_threshold_scalar(method, row)
+        extra = data.draw(st.integers(1, 2**63 - 1 - COUNT_BOUND))
+        row[data.draw(st.sampled_from(levels))] += extra
+        with pytest.raises(ValueError, match="may total at most"):
+            select_threshold(method, np.stack([hist_of([5]), row]))
 
 
 class TestBinarizeGlobal:
