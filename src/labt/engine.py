@@ -74,9 +74,6 @@ class LabtConfig:
             object.__setattr__(self, "block_h", operator.index(self.block_h))
         if any(s < 2 for s in sides):
             raise ValueError(f"block dimensions must be at least 2, got {sides}")
-        if any(s > np.iinfo(np.intp).max for s in sides):
-            # numpy cannot index or pad by such a side
-            raise ValueError(f"block dimensions must fit numpy's index type, got {sides}")
         if not isinstance(self.method, (Otsu, Adcdf, MeanK)):
             raise ValueError(f"unknown threshold method {self.method!r}")
         if self.mode not in _MODES:
@@ -111,9 +108,9 @@ class LabtResult:
 def choose_grid(arr: np.ndarray, cfg: LabtConfig = LabtConfig()) -> BlockGrid:
     """Pick block dimensions and the padded grid covering a grayscale image.
 
-    ``cfg``'s block sides are used when set; otherwise the side follows
-    the image spread: busier images get smaller blocks (side 64 for
-    stddev < 32, then 32, then 16 for stddev >= 64).
+    The sides are ``cfg``'s when set, else the image spread's: busier images
+    get smaller blocks (side 64 for stddev < 32, then 32, then 16). Each side
+    is capped at the image's, so padding stays below one block per axis.
     """
     height, width = arr.shape
     if height < 2 or width < 2:
@@ -122,13 +119,8 @@ def choose_grid(arr: np.ndarray, cfg: LabtConfig = LabtConfig()) -> BlockGrid:
         block_w, block_h = cfg.block_w, cfg.block_h
     else:
         spread = sqrt(variance(arr))
-        if spread < 32:
-            side = 64
-        elif spread < 64:
-            side = 32
-        else:
-            side = 16
-        block_w = block_h = side
+        block_w = block_h = 64 if spread < 32 else 32 if spread < 64 else 16
+    block_w, block_h = min(block_w, width), min(block_h, height)
     padded_w = -(-width // block_w) * block_w
     padded_h = -(-height // block_h) * block_h
     return BlockGrid(
@@ -180,19 +172,20 @@ def resolve_empty(candidates, base, top, left):
     return cand[np.arange(len(cand)), key.argmin(axis=1)]
 
 
-def _base_thresholds(padded, grid: BlockGrid, method: ThresholdMethod):
-    """Base stage: threshold each block from its own histogram.
+def _base_thresholds(blocks, method: ThresholdMethod):
+    """Base stage: threshold each block of the ``(rows, bh, cols, bw)`` view.
 
     One ``np.bincount`` per block row counts each pixel once, and one
     :func:`select_threshold` call thresholds the row. Returns the
     ``(rows, cols)`` thresholds and the padded image's histogram.
     """
-    base = np.empty((grid.rows, grid.cols), dtype=np.int32)
+    rows, _, cols, _ = blocks.shape
+    base = np.empty((rows, cols), dtype=np.int32)
     page = np.zeros(256, dtype=np.int64)
-    bin_base = np.arange(grid.padded_w) // grid.block_w * 256
-    for r, pixels in enumerate(padded.reshape(grid.rows, grid.block_h, grid.padded_w)):
+    bin_base = np.arange(0, cols * 256, 256)[:, None]
+    for r, pixels in enumerate(blocks):
         band = (bin_base + pixels).ravel()
-        hists = np.bincount(band, minlength=grid.cols * 256).reshape(grid.cols, 256)
+        hists = np.bincount(band, minlength=cols * 256).reshape(cols, 256)
         base[r] = select_threshold(method, hists)
         page += hists.sum(axis=0)
     return base, page
@@ -244,7 +237,7 @@ def run_labt(img, cfg: LabtConfig = LabtConfig()) -> LabtResult:
     height, width = arr.shape
     padded = np.pad(arr, ((0, grid.padded_h - height), (0, grid.padded_w - width)), mode="edge")
     blocks = padded.reshape(grid.rows, grid.block_h, grid.cols, grid.block_w)
-    base, page = _base_thresholds(padded, grid, cfg.method)
+    base, page = _base_thresholds(blocks, cfg.method)
     seed = select_threshold(cfg.method, page) if cfg.seed_global else base[0, 0]
     final, range_lo, range_hi, disjoint = _scan(blocks, base, seed, cfg.mode)
     # Thresholds lie in 0..255, so comparing as uint8 is exact and casts nothing.

@@ -126,9 +126,11 @@ def select_threshold(method: ThresholdMethod, hist: np.ndarray) -> int | np.ndar
     if counts.shape[-1:] != (256,) or counts.ndim > 2 or (counts < 0).any():
         raise ValueError("histogram must be 256 non-negative counts")
     stack = counts.reshape(-1, 256)
+    top = stack.argmax(axis=1)
+    peak = stack[np.arange(len(stack)), top]
     total = stack.sum(axis=1)
     # the largest count goes first: past the bound the row sums may wrap
-    if stack.max(initial=0) > _MAX_TOTAL or (total > _MAX_TOTAL).any():
+    if (peak > _MAX_TOTAL).any() or (total > _MAX_TOTAL).any():
         raise ValueError(f"a region may total at most {_MAX_TOTAL} counts")
     if (total < 1).any():
         raise ValueError("empty region")
@@ -146,8 +148,8 @@ def select_threshold(method: ThresholdMethod, hist: np.ndarray) -> int | np.ndar
         chosen = np.clip(np.where(x >= 0, np.floor(x + 0.5), np.ceil(x - 0.5)), 0, 255)
     else:
         raise TypeError(f"unknown threshold method {method!r}")
-    occupied = stack > 0
-    levels = np.where(occupied.sum(axis=1) == 1, occupied.argmax(axis=1), chosen)
+    # counts >= 0 and total >= 1: the peak is the total iff one level is occupied
+    levels = np.where(peak == total, top, chosen)
     return int(levels[0]) if counts.ndim == 1 else levels.astype(np.int64)
 
 

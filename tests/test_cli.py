@@ -178,14 +178,24 @@ class TestBinarize:
         assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("block", ["1180591620717411303424x2", "2x9223372036854775808"])
-    def test_side_past_int64_fails_with_one_error_line(self, doc_image, tmp_path, capsys, block):
+    @pytest.mark.parametrize(
+        "block, capped",
+        [
+            ("1000000x1000000", "64x48"),
+            ("1180591620717411303424x2", "64x2"),
+            ("2x9223372036854775808", "2x48"),
+        ],
+    )
+    def test_huge_side_runs_as_the_image_side_block(
+        self, doc_image, tmp_path, capsys, block, capped
+    ):
         inp, _ = doc_image
-        out = tmp_path / "o.pgm"
-        assert main(["binarize", str(inp), str(out), "--block", block]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: block dimensions must fit") and err.count("\n") == 1
-        assert not out.exists()
+        outputs = []
+        for spec in (block, capped):
+            out = tmp_path / f"{spec}.pgm"
+            assert main(["binarize", str(inp), str(out), "--block", spec]) == 0
+            outputs.append((out.read_bytes(), capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
 
     def test_niblack_window_past_int64_runs(self, doc_image, tmp_path):
         inp, img = doc_image

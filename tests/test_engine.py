@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -247,29 +248,34 @@ class TestChooseGrid:
         assert (grid.block_w, grid.block_h) == (64, 64)
 
     def test_high_variance_smallest_blocks(self):
-        img = np.zeros((10, 10), np.uint8)
-        img[:, 5:] = 255  # stddev 127.5
+        img = np.zeros((64, 64), np.uint8)
+        img[:, 32:] = 255  # stddev 127.5
         grid = choose_grid(img)
         assert (grid.block_w, grid.block_h) == (16, 16)
 
     def test_mid_variance_mid_blocks(self):
-        img = np.zeros((10, 10), np.uint8)
-        img[:, 5:] = 80  # stddev 40
+        img = np.zeros((64, 64), np.uint8)
+        img[:, 32:] = 80  # stddev 40
         assert choose_grid(img).block_w == 32
 
     @pytest.mark.parametrize("high, side", [(64, 32), (128, 16)])
     def test_exact_variance_on_the_bucket_edge(self, high, side):
         # half 0 / half high: variance exactly (high / 2) ** 2, 1024 or 4096
-        img = np.zeros((10, 10), np.uint8)
-        img[:, 5:] = high
+        img = np.zeros((64, 64), np.uint8)
+        img[:, 32:] = high
         assert variance(img) == (high / 2) ** 2
         assert choose_grid(img).block_w == side
 
     def test_override_wins(self):
-        grid = choose_grid(np.zeros((10, 10), np.uint8), LabtConfig(block_w=40, block_h=24))
+        grid = choose_grid(np.zeros((50, 100), np.uint8), LabtConfig(block_w=40, block_h=24))
         assert (grid.block_w, grid.block_h) == (40, 24)
-        assert (grid.padded_w, grid.padded_h) == (40, 24)
-        assert (grid.rows, grid.cols) == (1, 1)
+        assert (grid.padded_w, grid.padded_h) == (120, 72)
+        assert (grid.rows, grid.cols) == (3, 3)
+        # a side past the image is capped at it: one block on that axis
+        grid = choose_grid(np.zeros((10, 30), np.uint8), LabtConfig(block_w=40, block_h=4))
+        assert (grid.block_w, grid.block_h) == (30, 4)
+        assert (grid.padded_w, grid.padded_h) == (30, 12)
+        assert (grid.rows, grid.cols) == (3, 1)
 
     def test_grid_covers_padded_image(self):
         grid = choose_grid(np.zeros((70, 50), np.uint8), LabtConfig(block_w=16, block_h=16))
@@ -429,10 +435,15 @@ class TestRunLabt:
             assert res.out_of_range_count == int(outside.sum())
 
     def test_auto_grid_used_when_block_unset(self):
-        img = np.full((30, 30), 10, np.uint8)
+        img = np.full((100, 70), 10, np.uint8)
         res = run_labt(img, LabtConfig())
-        assert res.grid.block_w == 64  # constant image: lowest-variance bucket
-        assert res.binary.shape == (30, 30)
+        # constant image: lowest-variance bucket
+        assert (res.grid.block_w, res.grid.block_h) == (64, 64)
+        assert res.padded.shape == (128, 128) and res.binary.shape == (100, 70)
+        # the auto side is capped at a smaller image's sides
+        res = run_labt(np.full((30, 30), 10, np.uint8), LabtConfig())
+        assert (res.grid.block_w, res.grid.block_h) == (30, 30)
+        assert res.padded.shape == res.binary.shape == (30, 30)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="at least 2"):
@@ -468,12 +479,19 @@ class TestRunLabt:
         assert type(cfg.block_w) is int and type(cfg.block_h) is int
         assert_same_result(run_labt(img, cfg), run_labt(img, LabtConfig(block_w=8, block_h=4)))
 
-    @pytest.mark.parametrize("side", [2**63, 2**70 + 1])
-    def test_config_rejects_sides_numpy_cannot_index(self, side):
-        for sides in [(side, 2), (2, side)]:
-            with pytest.raises(ValueError, match="numpy's index type"):
-                LabtConfig(block_w=sides[0], block_h=sides[1])
-        assert LabtConfig(block_w=2**63 - 1, block_h=2).block_w == 2**63 - 1
+    @pytest.mark.parametrize("side", [4000, 2**31, 2**63, 2**70 + 1])
+    def test_huge_side_runs_as_the_image_side_block(self, side):
+        img = (np.arange(100).reshape(10, 10) * 2).astype(np.uint8)
+        for sides, capped in [((side, side), (10, 10)), ((side, 2), (10, 2)), ((2, side), (2, 10))]:
+            tracemalloc.start()
+            try:
+                res = run_labt(img, LabtConfig(block_w=sides[0], block_h=sides[1]))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
+            want = run_labt(img, LabtConfig(block_w=capped[0], block_h=capped[1]))
+            assert_same_result(res, want)
 
     @pytest.mark.parametrize(
         "img, match",

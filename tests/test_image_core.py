@@ -329,15 +329,18 @@ class TestPadCrop:
 
     @given(
         arrays(np.uint8, st.tuples(st.integers(2, 24), st.integers(2, 24))),
-        st.integers(2, 8),
-        st.integers(2, 8),
+        st.integers(2, 32),
+        st.integers(2, 32),
     )
     def test_pad_then_crop_is_identity(self, img, bw, bh):
         res = run_labt(img, LabtConfig(block_w=bw, block_h=bh))
-        padded = res.padded
-        assert padded.shape == (res.grid.padded_h, res.grid.padded_w)
-        assert padded.shape[0] % bh == 0 and padded.shape[1] % bw == 0
-        assert padded.shape[0] - bh < img.shape[0] and padded.shape[1] - bw < img.shape[1]
+        padded, grid = res.padded, res.grid
+        height, width = img.shape
+        # sides are capped at the image, so padding stays below one block
+        assert grid.block_w == min(bw, width) and grid.block_h == min(bh, height)
+        assert padded.shape == (grid.padded_h, grid.padded_w)
+        assert padded.shape[0] % grid.block_h == 0 and padded.shape[1] % grid.block_w == 0
+        assert padded.shape[0] - grid.block_h < height and padded.shape[1] - grid.block_w < width
         assert_array_equal(padded[: img.shape[0], : img.shape[1]], img)
         assert res.binary.shape == img.shape
 

@@ -201,6 +201,9 @@ class TestBatchedSelection:
         for shape in [(255,), (2, 255), (1, 2, 256), ()]:
             with pytest.raises(ValueError, match="256 non-negative"):
                 select_threshold(Otsu(), np.ones(shape, np.int64))
+        for method in self.METHODS:  # an empty stack gives an empty array
+            got = select_threshold(method, np.zeros((0, 256), np.int64))
+            assert got.shape == (0,) and got.dtype == np.int64
 
     @pytest.mark.parametrize("method", METHODS)
     @given(stack=sparse_stacks())
