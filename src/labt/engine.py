@@ -191,39 +191,86 @@ def _base_thresholds(blocks, method: ThresholdMethod):
     return base, page
 
 
-def _scan(blocks, base, seed, mode: str):
+def _scan(blocks, base, seeds, mode: str):
     """Sequential stage: clamp each base threshold into its neighbors' range.
 
-    ``blocks`` is the padded image's ``(rows, bh, cols, bw)`` view; the first
-    block applies ``seed``. Returns the applied thresholds, the recorded
-    ranges and the mask of blocks whose neighbor ranges were disjoint.
+    ``blocks`` stacks k padded images' ``(rows, bh, cols, bw)`` views, ``base``
+    their ``(k, rows, cols)`` thresholds; grid s starts from ``seeds[s]``, and
+    one diagonal of all k is one batch. Returns the applied thresholds, the
+    recorded ranges and the disjoint-range mask, each shaped like ``base``.
     """
-    rows, cols = base.shape
+    k, rows, cols = base.shape
     final = base.copy()
-    final[0, 0] = seed
-    range_lo = np.zeros((rows, cols), dtype=np.int32)
-    range_hi = np.full((rows, cols), 255, dtype=np.int32)
-    disjoint = np.zeros((rows, cols), dtype=bool)
+    final[:, 0, 0] = seeds
+    flat, base_flat = final.reshape(-1), base.reshape(-1)
+    range_lo, range_hi = np.zeros(final.size, np.int32), np.full(final.size, 255, np.int32)
+    disjoint = np.zeros(final.size, dtype=bool)
+    lines = blocks.reshape(k * rows, *blocks.shape[2:])
+    grid_offsets = np.arange(0, final.size, rows * cols)[:, None]
     # Row 0's t_up and column 0's t_left wrap to other blocks; 0..255 stands in.
     for d in range(1, rows + cols - 1):
         r = np.arange(max(0, d - cols + 1), min(d, rows - 1) + 1)
-        c = d - r
-        t_up, t_left = final[r - 1, c], final[r, c - 1]
-        top, left = blocks[r, 0, c], blocks[r, :, c, 0]
+        g = (grid_offsets + r * (cols - 1) + d).ravel()  # flat index of (r, d - r)
+        line_row, c = np.divmod(g, cols)
+        t_up, t_left = flat[g - cols], flat[g - 1]
+        top, left = lines[line_row, 0, c], lines[line_row, :, c, 0]
         up_lo, up_hi = neighbor_range(t_up, top, mode)
         left_lo, left_hi = neighbor_range(t_left, left, mode)
-        up_lo[r == 0], up_hi[r == 0] = 0, 255
-        left_lo[c == 0], left_hi[c == 0] = 0, 255
+        n = len(r)
+        if r[0] == 0:
+            up_lo[::n], up_hi[::n] = 0, 255
+        if r[-1] == d:
+            left_lo[n - 1 :: n], left_hi[n - 1 :: n] = 0, 255
         lo, hi = np.maximum(up_lo, left_lo), np.minimum(up_hi, left_hi)
-        t = np.minimum(np.maximum(base[r, c], lo), hi)
+        t = np.minimum(np.maximum(base_flat[g], lo), hi)
         empty = lo > hi
         if empty.any():
             cand = np.stack((up_lo, up_hi, left_lo, left_hi, t_up, t_left), axis=1)
             t[empty] = lo[empty] = hi[empty] = resolve_empty(
-                cand[empty], base[r, c][empty], top[empty], left[empty]
+                cand[empty], base_flat[g][empty], top[empty], left[empty]
             )
-        final[r, c], range_lo[r, c], range_hi[r, c], disjoint[r, c] = t, lo, hi, empty
-    return final, range_lo, range_hi, disjoint
+        flat[g], range_lo[g], range_hi[g], disjoint[g] = t, lo, hi, empty
+    return final, *(a.reshape(final.shape) for a in (range_lo, range_hi, disjoint))
+
+
+def _run_oriented(img, cfg: LabtConfig, orients) -> tuple[LabtResult, ...]:
+    """Run the engine on each orientation of an image as one stacked scan.
+
+    ``orients`` are flips, the first the identity. A flip keeps the image
+    spread, so one grid serves all; when the grid covers the image exactly,
+    a flip only permutes whole blocks, so one base stage serves all too.
+    """
+    arr = as_gray(img)
+    grid = choose_grid(arr, cfg)
+    height, width = arr.shape
+    pages = np.empty((len(orients), grid.padded_h, grid.padded_w), dtype=np.uint8)
+    for page, orient in zip(pages, orients):  # edge padding, written in place
+        page[:height, :width] = orient(arr)
+        page[:height, width:] = page[:height, width - 1 : width]
+        page[height:] = page[height - 1]
+    blocks = pages.reshape(len(orients), grid.rows, grid.block_h, grid.cols, grid.block_w)
+    aligned = pages.shape[1:] == arr.shape  # else a flip moves the padding to another side
+    stages = [_base_thresholds(one, cfg.method) for one in (blocks[:1] if aligned else blocks)]
+    bases = np.stack([o(stages[0][0]) for o in orients] if aligned else [b for b, _ in stages])
+    hists = [hist for _, hist in stages]
+    seeds = [select_threshold(cfg.method, h) for h in hists] if cfg.seed_global else bases[:, 0, 0]
+    final, range_lo, range_hi, disjoint = _scan(blocks, bases, seeds, cfg.mode)
+    # Thresholds lie in 0..255, so comparing as uint8 is exact and casts nothing.
+    labels = (blocks >= final.astype(np.uint8)[:, :, None, :, None]).reshape(pages.shape)
+    return tuple(
+        LabtResult(
+            binary=np.ascontiguousarray(labels[s, :height, :width]),
+            base_thresholds=bases[s],
+            thresholds=final[s],
+            range_lo=range_lo[s],
+            range_hi=range_hi[s],
+            out_of_range_count=int(((bases[s] < range_lo[s]) | (bases[s] > range_hi[s])).sum()),
+            non_overlap_count=int(disjoint[s].sum()),
+            grid=grid,
+            padded=pages[s],
+        )
+        for s in range(len(orients))
+    )
 
 
 def run_labt(img, cfg: LabtConfig = LabtConfig()) -> LabtResult:
@@ -232,24 +279,4 @@ def run_labt(img, cfg: LabtConfig = LabtConfig()) -> LabtResult:
     Runs :func:`_base_thresholds`, then :func:`_scan` from the padded image's
     threshold if ``cfg.seed_global`` is set, else from the first block's own.
     """
-    arr = as_gray(img)
-    grid = choose_grid(arr, cfg)
-    height, width = arr.shape
-    padded = np.pad(arr, ((0, grid.padded_h - height), (0, grid.padded_w - width)), mode="edge")
-    blocks = padded.reshape(grid.rows, grid.block_h, grid.cols, grid.block_w)
-    base, page = _base_thresholds(blocks, cfg.method)
-    seed = select_threshold(cfg.method, page) if cfg.seed_global else base[0, 0]
-    final, range_lo, range_hi, disjoint = _scan(blocks, base, seed, cfg.mode)
-    # Thresholds lie in 0..255, so comparing as uint8 is exact and casts nothing.
-    labels = (blocks >= final.astype(np.uint8)[:, None, :, None]).reshape(padded.shape)
-    return LabtResult(
-        binary=np.ascontiguousarray(labels[:height, :width]),
-        base_thresholds=base,
-        thresholds=final,
-        range_lo=range_lo,
-        range_hi=range_hi,
-        out_of_range_count=int(((base < range_lo) | (base > range_hi)).sum()),
-        non_overlap_count=int(disjoint.sum()),
-        grid=grid,
-        padded=padded,
-    )
+    return _run_oriented(img, cfg, (np.asarray,))[0]

@@ -76,7 +76,7 @@ class NiblackParams:
     def __post_init__(self) -> None:
         if isinstance(self.window, bool) or not isinstance(self.window, Integral):
             raise ValueError(f"window must be an integer, got {self.window!r}")
-        # numpy integers become ints: an unsigned reach would turn the window bounds into floats
+        # numpy integers become ints, so the window arithmetic stays in Python ints
         object.__setattr__(self, "window", operator.index(self.window))
         if self.window < 3 or self.window % 2 == 0:
             raise ValueError(f"window must be odd and >= 3, got {self.window}")
@@ -160,41 +160,37 @@ def binarize_global(img, t: int) -> np.ndarray:
     return as_gray(img) >= t
 
 
+def _window_sums(vals, reach: int) -> np.ndarray:
+    """Sums of 2-D ``vals`` over windows reaching ``reach`` to each side, clipped
+    at the borders, along one axis and then the other: with ``reach + 1``
+    zeros in front of the int64 prefix sums and ``reach`` copies of the total
+    behind, each sum is the difference of two slices."""
+    for axis in (0, 1):
+        side = vals.shape[axis]
+        span = min(reach, side)  # every reach past the side clips alike
+        shape = vals.shape[:axis] + (side + 2 * span + 1,) + vals.shape[axis + 1 :]
+        table = np.moveaxis(np.zeros(shape, dtype=np.int64), axis, 0)  # a view, summed axis first
+        body = table[span + 1 : span + 1 + side]
+        np.cumsum(vals, axis=axis, dtype=np.int64, out=np.moveaxis(body, 0, axis))
+        table[span + 1 + side :] = body[-1]
+        vals = np.moveaxis(table[2 * span + 1 :] - table[:side], 0, axis)
+    return vals
+
+
 def niblack_binarize(img, params: NiblackParams = NiblackParams()) -> np.ndarray:
     """Per-pixel thresholding at local mean + k * local stddev.
 
     Statistics come from the window centered at each pixel, clipped at the
-    image borders. Sums are taken from integral images of the values and
-    squared values, so runtime is independent of the window size.
+    image borders. Window sums are exact int64 prefix-sum differences along
+    one axis, then the other, so runtime is independent of the window size.
     """
     arr = as_gray(img)
-    height, width = arr.shape
-    # every reach past the image clips to the same bounds; the cap keeps
-    # the index arithmetic inside int64
-    reach = min(params.window // 2, max(height, width))
-    vals = arr.astype(np.int64)
-
-    integral = np.zeros((height + 1, width + 1), dtype=np.int64)
-    integral[1:, 1:] = vals.cumsum(axis=0).cumsum(axis=1)
-    integral_sq = np.zeros_like(integral)
-    integral_sq[1:, 1:] = (vals * vals).cumsum(axis=0).cumsum(axis=1)
-
-    y0 = np.clip(np.arange(height) - reach, 0, height)
-    y1 = np.clip(np.arange(height) + reach + 1, 0, height)
-    x0 = np.clip(np.arange(width) - reach, 0, width)
-    x1 = np.clip(np.arange(width) + reach + 1, 0, width)
-
-    def window_sums(table: np.ndarray) -> np.ndarray:
-        return (
-            table[np.ix_(y1, x1)]
-            - table[np.ix_(y0, x1)]
-            - table[np.ix_(y1, x0)]
-            + table[np.ix_(y0, x0)]
-        )
-
-    area = (y1 - y0)[:, None] * (x1 - x0)[None, :]
-    mu = window_sums(integral) / area
-    var = window_sums(integral_sq) / area - mu * mu
+    reach = params.window // 2
+    # the pixels in each clipped window, as one column's times one row's
+    ones = np.broadcast_to(True, arr.shape)
+    area = _window_sums(ones[:, :1], reach) * _window_sums(ones[:1], reach)
+    mu = _window_sums(arr, reach) / area
+    var = _window_sums(np.square(arr, dtype=np.int64), reach) / area - mu * mu
     with np.errstate(over="ignore"):  # a huge k gives +-inf: no/all foreground
         thresh = mu + params.k * np.sqrt(np.clip(var, 0.0, None))
     return arr >= thresh

@@ -10,6 +10,7 @@ from numpy.testing import assert_array_equal
 from labt.engine import (
     LabtConfig,
     LabtResult,
+    _scan,
     choose_grid,
     neighbor_range,
     resolve_empty,
@@ -582,3 +583,42 @@ class TestMatchesRasterReference:
         res = run_labt(img, cfg)
         assert_same_result(res, run_labt_raster(img, cfg))
         assert_run_invariants(res, cfg)
+
+
+class TestStackedScan:
+    """``_scan`` on a stack of k grids against k scans of one grid each."""
+
+    @settings(max_examples=200)
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 6),
+        st.integers(1, 6),
+        st.integers(1, 5),
+        st.integers(1, 5),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([2, 3, 256]),
+        st.sampled_from(["strict", "paper"]),
+    )
+    def test_equals_one_scan_per_grid(self, k, rows, cols, bh, bw, seed, levels, mode):
+        gen = np.random.default_rng(seed)
+        # few levels make equal-to-threshold borders and disjoint ranges common
+        values = gen.integers(0, 256, levels)
+        blocks = values[gen.integers(0, levels, (k, rows, bh, cols, bw))].astype(np.uint8)
+        base = gen.choice(values, (k, rows, cols)).astype(np.int32)
+        seeds = gen.integers(0, 256, k)
+        stacked = _scan(blocks, base, seeds, mode)
+        for s in range(k):
+            single = _scan(blocks[s : s + 1], base[s : s + 1], seeds[s : s + 1], mode)
+            for got, want in zip(stacked, single):
+                assert (got.shape[1:], got.dtype) == (want.shape[1:], want.dtype)
+                assert_array_equal(got[s], want[0])
+
+    def test_stack_of_one_matches_run_labt(self, rng):
+        img = rng.integers(0, 256, (40, 56), dtype=np.uint8)
+        res = run_labt(img, LabtConfig(block_w=8, block_h=8))
+        blocks = res.padded.reshape(1, 5, 8, 7, 8)
+        final, lo, hi, disjoint = _scan(blocks, res.base_thresholds[None], [res.thresholds[0, 0]], "strict")
+        assert_array_equal(final[0], res.thresholds)
+        assert_array_equal(lo[0], res.range_lo)
+        assert_array_equal(hi[0], res.range_hi)
+        assert disjoint.sum() == res.non_overlap_count

@@ -1,8 +1,14 @@
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
+import labt.engine
 from labt.engine import LabtConfig, run_labt
 from labt.multiscan import ORIENTATIONS, run_multiscan
+from labt.thresholders import Adcdf, MeanK, Otsu
+from test_engine import assert_same_result
 
 # seeded-search instance where the flipped scans clamp differently and the
 # union strictly grows the foreground (verified by direct comparison below)
@@ -75,3 +81,69 @@ class TestRunMultiscan:
         assert_array_equal(ms.combined, ms.per_scan[0])
         assert_array_equal(ms.per_scan[1], ms.per_scan[0])
         assert_array_equal(ms.per_scan[2], ms.per_scan[0])
+
+
+class TestMatchesThreeRuns:
+    """The stacked multiscan against three independent ``run_labt`` calls."""
+
+    @settings(max_examples=300)
+    @given(
+        st.integers(2, 9),
+        st.integers(2, 9),
+        st.integers(1, 5),
+        st.integers(1, 5),
+        st.tuples(*[st.one_of(st.just(0), st.integers(1, 8))] * 2),
+        st.tuples(st.booleans(), st.booleans()),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([2, 3, 256]),
+        st.one_of(
+            st.just(Otsu()),
+            st.builds(Adcdf, st.floats(0.05, 0.95)),
+            st.builds(MeanK, st.floats(-1.5, 1.5)),
+        ),
+        st.sampled_from(["strict", "paper"]),
+        st.booleans(),
+    )
+    def test_random_images(self, bh, bw, rows, cols, cut, capped, seed, levels, method, mode, seed_global):
+        # rows x cols blocks, minus `cut` pixels (kept under one block) that
+        # the grid pads back; a capped side asks for far more than the image
+        h, w = max(2, rows * bh - cut[0] % bh), max(2, cols * bw - cut[1] % bw)
+        values = np.random.default_rng(seed).integers(0, 256, levels)
+        img = values[np.random.default_rng(seed + 1).integers(0, levels, (h, w))].astype(np.uint8)
+        sides = [10**6 if cap else side for cap, side in zip(capped, (bw, bh))]
+        cfg = LabtConfig(method, *sides, mode, seed_global)
+        ms = run_multiscan(img, cfg)
+        singles = [run_labt(orient(img), cfg) for orient in ORIENTATIONS]
+        for got, want in zip(ms.runs, singles):
+            assert_same_result(got, want)
+        scans = [orient(run.binary) for orient, run in zip(ORIENTATIONS, singles)]
+        for got, want in zip(ms.per_scan, scans):
+            assert_array_equal(got, want)
+        assert_array_equal(ms.combined, scans[0] | scans[1] | scans[2])
+
+    @pytest.mark.parametrize(
+        "shape, block, grid, base_stages",
+        [
+            ((48, 64), 16, (3, 4), 1),
+            ((45, 61), 16, (3, 4), 3),
+            ((8, 40), 8, (1, 5), 1),
+            ((40, 8), 8, (5, 1), 1),
+            ((43, 8), 8, (6, 1), 3),
+        ],
+        ids=["aligned", "padded", "one_row", "one_column", "one_column_padded"],
+    )
+    def test_one_wavefront_for_three_scans(self, rng, monkeypatch, shape, block, grid, base_stages):
+        calls = {"neighbor_range": [], "select_threshold": []}
+        for name, log in calls.items():
+            original = getattr(labt.engine, name)
+            monkeypatch.setattr(labt.engine, name, lambda *a, f=original, log=log: log.append(a) or f(*a))
+        img = rng.integers(0, 256, shape, dtype=np.uint8)
+        ms = run_multiscan(img, LabtConfig(block_w=block, block_h=block))
+        rows, cols = grid
+        assert (ms.runs[0].grid.rows, ms.runs[0].grid.cols) == grid
+        assert len(calls["neighbor_range"]) == 2 * (rows + cols - 2)
+        # every call batches one diagonal of all three grids
+        assert sum(len(t) for t, _, _ in calls["neighbor_range"]) == 2 * 3 * (rows * cols - 1)
+        # an aligned grid shares one base stage (one call per block row) and
+        # one global seed; a padded one runs both per orientation
+        assert len(calls["select_threshold"]) == base_stages * (rows + 1)

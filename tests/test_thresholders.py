@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_array_equal
@@ -328,6 +330,28 @@ class TestNiblack:
         plain = niblack_binarize(img, params)
         for orient in ORIENTATIONS:
             assert_array_equal(orient(niblack_binarize(orient(img), params)), plain)
+
+    @settings(max_examples=200)
+    @given(
+        arrays(np.uint8, st.tuples(st.integers(1, 24), st.integers(1, 24))),
+        st.integers(1, 26),
+        st.floats(-2, 2),
+    )
+    def test_matches_naive_oracle_on_any_shape(self, img, reach, k):
+        # windows 3..53 reach past twice the longest side (24)
+        window = 2 * reach + 1
+        assert_array_equal(niblack_binarize(img, NiblackParams(window, k)), niblack_naive(img, window, k))
+
+    def test_page_peak_memory(self, rng):
+        img = rng.integers(0, 256, (512, 512), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            niblack_binarize(img, NiblackParams(window=15))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the page's int64 window sums and float statistics take 2 MB each
+        assert peak < 14e6
 
     @pytest.mark.parametrize("window", [2**65 + 1, 2**127 + 1])
     def test_window_past_int64_clips_like_the_whole_image(self, rng, window):
