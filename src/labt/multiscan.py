@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# perfbench's tracer and self-test look up and patch run_labt in this module
+# run_labt is not called here: perfbench's tracer and self-test patch this name
 from .engine import LabtConfig, LabtResult, _run_oriented, run_labt
 
 __all__ = ["ORIENTATIONS", "MultiscanResult", "run_multiscan"]

@@ -9,7 +9,6 @@ from numpy.testing import assert_array_equal
 
 from labt.engine import (
     LabtConfig,
-    LabtResult,
     _scan,
     choose_grid,
     neighbor_range,
@@ -22,6 +21,7 @@ from labt.image_core import histogram, variance
 from labt.metrics import continuity_violations
 from labt.thresholders import Adcdf, MeanK, Otsu, select_threshold
 from corpus import bimodal_noise, checkerboard, document_scan
+from helpers import assert_same_result
 from oracles import (
     admissible_interval,
     border_disagreements,
@@ -517,18 +517,6 @@ class TestRunLabt:
     def test_config_replace_keeps_validation(self):
         cfg = LabtConfig(block_w=4, block_h=4)
         assert dataclasses.replace(cfg, block_w=8, block_h=8).block_w == 8
-
-
-def assert_same_result(got, want):
-    """Every LabtResult field equal, arrays also in shape and dtype."""
-    for field in dataclasses.fields(LabtResult):
-        a, b = getattr(got, field.name), getattr(want, field.name)
-        if isinstance(b, np.ndarray):
-            assert (a.shape, a.dtype) == (b.shape, b.dtype), field.name
-            assert_array_equal(a, b, err_msg=field.name)
-        else:
-            assert type(a) is type(b) and a == b, field.name
-    assert got.binary.flags.c_contiguous
 
 
 def assert_run_invariants(res, cfg):

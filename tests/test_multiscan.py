@@ -8,7 +8,7 @@ import labt.engine
 from labt.engine import LabtConfig, run_labt
 from labt.multiscan import ORIENTATIONS, run_multiscan
 from labt.thresholders import Adcdf, MeanK, Otsu
-from test_engine import assert_same_result
+from helpers import assert_same_result
 
 # seeded-search instance where the flipped scans clamp differently and the
 # union strictly grows the foreground (verified by direct comparison below)
