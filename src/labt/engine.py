@@ -250,9 +250,8 @@ def _run_oriented(img, cfg: LabtConfig, orients) -> tuple[LabtResult, ...]:
         page[height:] = page[height - 1]
     blocks = pages.reshape(len(orients), grid.rows, grid.block_h, grid.cols, grid.block_w)
     aligned = pages.shape[1:] == arr.shape  # else a flip moves the padding to another side
-    stages = [_base_thresholds(one, cfg.method) for one in (blocks[:1] if aligned else blocks)]
-    bases = np.stack([o(stages[0][0]) for o in orients] if aligned else [b for b, _ in stages])
-    hists = [hist for _, hist in stages]
+    bases, hists = zip(*[_base_thresholds(one, cfg.method) for one in (blocks[:1] if aligned else blocks)])
+    bases = np.stack([o(bases[0]) for o in orients] if aligned else bases)  # rebinding frees the unstacked ones
     seeds = [select_threshold(cfg.method, h) for h in hists] if cfg.seed_global else bases[:, 0, 0]
     final, range_lo, range_hi, disjoint = _scan(blocks, bases, seeds, cfg.mode)
     # Thresholds lie in 0..255, so comparing as uint8 is exact and casts nothing.
