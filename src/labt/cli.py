@@ -13,7 +13,7 @@ from pathlib import Path
 from time import perf_counter
 
 from .engine import LabtConfig, LabtResult, run_labt
-from .image_core import PgmError, histogram, read_pgm, write_pgm
+from .image_core import histogram, read_pgm, write_pgm
 from .metrics import continuity_violations, mean_range_width, psnr, sweep
 from .multiscan import run_multiscan
 from .thresholders import (
@@ -252,12 +252,14 @@ def _cmd_sweep(args) -> int:
     avg_path = csv_path.with_name(csv_path.stem + "_avg" + (csv_path.suffix or ".csv"))
     with open(avg_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["block_size", "mean_range_width", "out_of_range_fraction"])
+        writer.writerow(["block_size", "mean_range_width", "out_of_range_fraction", "images"])
         for size in args.sizes:
             rows = [row for _, row in per_image if row.block_size == size]
+            if not rows:
+                continue
             width = sum(r.mean_range_width for r in rows) / len(rows)
             fraction = sum(r.out_of_range_fraction for r in rows) / len(rows)
-            writer.writerow([size, f"{width:.4f}", f"{fraction:.6f}"])
+            writer.writerow([size, f"{width:.4f}", f"{fraction:.6f}", len(rows)])
 
     print(f"wrote {csv_path} and {avg_path}")
     return 0
@@ -271,7 +273,7 @@ def main(argv=None) -> int:
         if args.command == "compare":
             return _cmd_compare(args)
         return _cmd_sweep(args)
-    except (OSError, PgmError, ValueError, MemoryError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -25,17 +25,7 @@ from numbers import Integral
 import numpy as np
 
 from .image_core import as_gray, variance
-from .thresholders import Adcdf, MeanK, Otsu, ThresholdMethod, select_threshold
-
-__all__ = [
-    "BlockGrid",
-    "LabtConfig",
-    "LabtResult",
-    "choose_grid",
-    "neighbor_range",
-    "resolve_empty",
-    "run_labt",
-]
+from .thresholders import Otsu, ThresholdMethod, select_threshold
 
 _MODES = ("strict", "paper")
 
@@ -74,7 +64,7 @@ class LabtConfig:
             object.__setattr__(self, "block_h", operator.index(self.block_h))
         if any(s < 2 for s in sides):
             raise ValueError(f"block dimensions must be at least 2, got {sides}")
-        if not isinstance(self.method, (Otsu, Adcdf, MeanK)):
+        if not isinstance(self.method, ThresholdMethod):
             raise ValueError(f"unknown threshold method {self.method!r}")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")

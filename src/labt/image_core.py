@@ -6,8 +6,9 @@ Conventions used across the package:
 * binary image: 2-D ``bool`` array, ``True`` marks foreground
 * histogram: length-256 ``int64`` array of intensity counts
 
-All functions are pure and return freshly allocated arrays, so results can
-be shared between threads without copying.
+All functions are pure. Each returns a freshly allocated array, except
+:func:`as_gray`, which returns its input itself when that already is a 2-D
+uint8 array.
 """
 
 from __future__ import annotations
@@ -15,15 +16,6 @@ from __future__ import annotations
 import re
 
 import numpy as np
-
-__all__ = [
-    "PgmError",
-    "as_gray",
-    "read_pgm",
-    "write_pgm",
-    "histogram",
-    "variance",
-]
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 

@@ -8,16 +8,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import LabtConfig, LabtResult, run_labt
+from .engine import LabtConfig, LabtResult, choose_grid, run_labt
 from .image_core import as_gray
-
-__all__ = [
-    "SweepRow",
-    "psnr",
-    "mean_range_width",
-    "continuity_violations",
-    "sweep",
-]
 
 
 @dataclass(frozen=True)
@@ -68,17 +60,17 @@ def continuity_violations(result: LabtResult) -> int:
 
 
 def sweep(img, cfg: LabtConfig, block_sizes: Sequence[int]) -> list[SweepRow]:
-    """Run the engine once per square block size and collect range stats."""
+    """Run the engine once per square block size and collect range stats,
+    skipping sizes that :func:`choose_grid` would cap at the image's sides."""
+    arr = as_gray(img)
     rows = []
     for size in block_sizes:
-        result = run_labt(img, replace(cfg, block_w=size, block_h=size))
-        blocks = result.grid.rows * result.grid.cols
-        rows.append(
-            SweepRow(
-                block_size=size,
-                mean_range_width=mean_range_width(result),
-                out_of_range_fraction=result.out_of_range_count / blocks,
-            )
-        )
+        size_cfg = replace(cfg, block_w=size, block_h=size)
+        grid = choose_grid(arr, size_cfg)
+        if (grid.block_w, grid.block_h) != (size_cfg.block_w, size_cfg.block_h):
+            continue
+        result = run_labt(arr, size_cfg)
+        fraction = result.out_of_range_count / (grid.rows * grid.cols)
+        rows.append(SweepRow(size, mean_range_width(result), fraction))
     return rows
 

@@ -16,8 +16,6 @@ import numpy as np
 # run_labt is not called here: perfbench's tracer and self-test patch this name
 from .engine import LabtConfig, LabtResult, _run_oriented, run_labt
 
-__all__ = ["ORIENTATIONS", "MultiscanResult", "run_multiscan"]
-
 # Identity, vertical flip, horizontal flip. Each is its own inverse, so the
 # same function maps an image into its orientation and the labels back.
 ORIENTATIONS = (np.asarray, np.flipud, np.fliplr)

@@ -14,22 +14,10 @@ import math
 import operator
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Union
 
 import numpy as np
 
 from .image_core import as_gray
-
-__all__ = [
-    "Otsu",
-    "Adcdf",
-    "MeanK",
-    "ThresholdMethod",
-    "NiblackParams",
-    "select_threshold",
-    "binarize_global",
-    "niblack_binarize",
-]
 
 
 @dataclass(frozen=True)
@@ -64,7 +52,7 @@ class MeanK:
         _check_finite_k(self.k)
 
 
-ThresholdMethod = Union[Otsu, Adcdf, MeanK]
+ThresholdMethod = Otsu | Adcdf | MeanK
 _MAX_TOTAL = np.iinfo(np.int64).max // 255**2  # sums of count * level**2 fit int64
 
 
@@ -145,7 +133,7 @@ def select_threshold(method: ThresholdMethod, hist: np.ndarray) -> int | np.ndar
         sq = (stack @ np.arange(256) ** 2).astype(np.float64) / total
         with np.errstate(over="ignore"):  # a huge k gives +-inf, clipped below
             x = mean + method.k * np.sqrt(np.maximum(sq - mean * mean, 0.0))
-        chosen = np.clip(np.where(x >= 0, np.floor(x + 0.5), np.ceil(x - 0.5)), 0, 255)
+        chosen = np.clip(np.floor(x + 0.5), 0, 255)  # x < 0 clips to 0 however it rounds
     else:
         raise TypeError(f"unknown threshold method {method!r}")
     # counts >= 0 and total >= 1: the peak is the total iff one level is occupied

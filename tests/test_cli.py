@@ -13,9 +13,10 @@ from numpy.testing import assert_array_equal
 
 from labt.cli import build_parser, main
 from labt.engine import LabtConfig, run_labt
-from labt.image_core import read_pgm, write_pgm
+from labt.image_core import PgmError, read_pgm, write_pgm
 from labt.metrics import sweep
 from labt.thresholders import Adcdf, MeanK, NiblackParams, Otsu, niblack_binarize
+from oracles import read_pgm_loop
 
 # --method choices that name a block thresholder, with the method each builds
 # from --rho 0.3 --k 0.4
@@ -132,6 +133,20 @@ class TestBinarize:
         rc = main(["binarize", str(bad), str(tmp_path / "o.pgm")])
         assert rc != 0
         assert "truncated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"P2 2 2 0 0 0 0 0", b"P5 2 2 255", b"P5 2 2 255#c\n" + bytes(4)],
+        ids=["zero_maxval", "p5_ends_at_maxval", "p5_comment_after_maxval"],
+    )
+    def test_maxval_error_fails_with_the_oracle_line(self, tmp_path, capsys, data):
+        with pytest.raises(PgmError) as info:
+            read_pgm_loop(data)
+        bad, out = tmp_path / "bad.pgm", tmp_path / "o.pgm"
+        bad.write_bytes(data)
+        assert main(["binarize", str(bad), str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {info.value}\n"
+        assert not out.exists()
 
     def test_niblack_method(self, doc_image, tmp_path, capsys):
         inp, _ = doc_image
@@ -326,10 +341,12 @@ class TestSweep:
             ["sweep", str(indir), "--csv", str(csv_path), "--sizes", "4,8,16,32,64"]
         )
         assert rc == 0
+        # size 64 exceeds the 32x32 images, so no image runs it
         per_image = csv_path.read_text().strip().splitlines()
-        assert len(per_image) == 1 + 3 * 5
+        assert len(per_image) == 1 + 3 * 4
         avg = (tmp_path / "sweep_avg.csv").read_text().strip().splitlines()
-        assert len(avg) == 1 + 5
+        assert len(avg) == 1 + 4
+        assert [row.split(",")[::3] for row in avg[1:]] == [[s, "3"] for s in ["4", "8", "16", "32"]]
 
     def test_single_image_average_equals_per_image(self, doc_image, tmp_path):
         inp, _ = doc_image
@@ -340,7 +357,39 @@ class TestSweep:
             l.split(",")
             for l in (tmp_path / "s_avg.csv").read_text().strip().splitlines()[1:]
         ]
-        assert [r[1:] for r in per_rows] == avg_rows
+        assert [r[1:] + ["1"] for r in per_rows] == avg_rows
+
+    def test_sizes_past_the_image_skipped(self, tmp_path):
+        # a 64x48 ramp: 64 and 128 would both run one 64x48 block
+        inp = tmp_path / "in.pgm"
+        inp.write_bytes(b"P5\n64 48\n255\n" + bytes(range(256)) * 12)
+        csv_path = tmp_path / "sweep.csv"
+        assert main(["sweep", str(inp), "--csv", str(csv_path), "--sizes", "16,64,128"]) == 0
+        per_image = csv_path.read_text().splitlines()
+        assert [row.split(",")[:2] for row in per_image[1:]] == [["in.pgm", "16"]]
+        avg = (tmp_path / "sweep_avg.csv").read_text().splitlines()
+        assert avg == [
+            "block_size,mean_range_width,out_of_range_fraction,images",
+            ",".join(per_image[1].split(",")[1:] + ["1"]),
+        ]
+
+    def test_directory_of_mixed_sizes(self, tmp_path):
+        rng = np.random.default_rng(8)
+        indir = tmp_path / "imgs"
+        indir.mkdir()
+        images = {"a.pgm": rng.integers(0, 256, (48, 64)), "b.pgm": rng.integers(0, 256, (16, 16))}
+        for name, img in images.items():
+            (indir / name).write_bytes(write_pgm(img.astype(np.uint8)))
+        csv_path = tmp_path / "sweep.csv"
+        assert main(["sweep", str(indir), "--csv", str(csv_path), "--sizes", "8,16,32,128"]) == 0
+        per_image = [row.split(",") for row in csv_path.read_text().splitlines()[1:]]
+        assert [row[:2] for row in per_image] == [
+            ["a.pgm", "8"], ["a.pgm", "16"], ["a.pgm", "32"], ["b.pgm", "8"], ["b.pgm", "16"]
+        ]
+        avg = [row.split(",") for row in (tmp_path / "sweep_avg.csv").read_text().splitlines()[1:]]
+        assert [(row[0], row[3]) for row in avg] == [("8", "2"), ("16", "2"), ("32", "1")]
+        # only a.pgm ran size 32: its average is that image's row
+        assert avg[2][:3] == per_image[2][1:]
 
     def test_repeated_size_rejected(self, doc_image, tmp_path, capsys):
         inp, _ = doc_image

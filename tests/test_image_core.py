@@ -99,6 +99,18 @@ class TestReadPgm:
         with pytest.raises(PgmError, match="truncated payload"):
             read_pgm(b"P2 1000000 1000000 255 1 2 3")
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"P2 2 2 0 0 0 0 0", "maxval must be positive, got 0"),
+            (b"P5 2 2 255", "missing whitespace between maxval and pixel payload"),
+            (b"P5 2 2 255#c\n" + bytes(4), "missing whitespace between maxval and pixel payload"),
+        ],
+        ids=["zero_maxval", "p5_ends_at_maxval", "p5_comment_after_maxval"],
+    )
+    def test_maxval_errors_match_the_loop_oracle(self, data, message):
+        assert pgm_outcome(read_pgm, data) == pgm_outcome(read_pgm_loop, data) == message
+
     @settings(max_examples=500)
     @given(
         st.one_of(

@@ -128,6 +128,20 @@ class TestSweep:
             assert 0.0 <= row.out_of_range_fraction <= 1.0
             assert 1.0 <= row.mean_range_width <= 256.0
 
+    def test_sizes_past_the_image_skipped(self, rng):
+        img = rng.integers(0, 256, (48, 64), dtype=np.uint8)
+        rows = sweep(img, LabtConfig(), [16, 48, 64, 128])
+        assert [r.block_size for r in rows] == [16, 48]
+        for row in rows:
+            res = run_labt(img, LabtConfig(block_w=row.block_size, block_h=row.block_size))
+            assert row.mean_range_width == mean_range_width(res)
+            assert row.out_of_range_fraction == res.out_of_range_count / res.base_thresholds.size
+
+    def test_image_below_two_pixels_rejected(self):
+        # every size exceeds a one-row image, which choose_grid still rejects
+        with pytest.raises(ValueError, match="at least 2x2"):
+            sweep(np.zeros((1, 8), np.uint8), LabtConfig(), [2, 4])
+
     def test_size_below_two_rejected(self):
         # LabtConfig owns the block-side check
         for size, match in [(1, "at least 2"), (0, "at least 2"), (True, "integers")]:
