@@ -174,6 +174,7 @@ def _cmd_binarize(args) -> int:
             binary = first.binary
         out_of_range = first.out_of_range_count
         non_overlap = first.non_overlap_count
+    img = result = first = None  # free the input and padded pages before encoding
     _write_output(args.output, write_pgm(binary))
     print(f"out_of_range_count={out_of_range} non_overlap_count={non_overlap}")
     return 0
@@ -235,10 +236,14 @@ def _cmd_sweep(args) -> int:
     cfg = _labt_config(args)
 
     per_image: list[tuple[str, object]] = []
+    side = 0  # the largest of the images' smaller sides
     for file in files:
         img = read_pgm(file.read_bytes())
+        side = max(side, min(img.shape))
         for row in sweep(img, cfg, args.sizes):
             per_image.append((file.name, row))
+    if not per_image:
+        raise ValueError(f"every block size exceeds each image's smaller side (at most {side} pixels)")
 
     csv_path = Path(args.csv)
     with open(csv_path, "w", newline="") as fh:

@@ -6,7 +6,7 @@ histogram. The scan, the one sequential stage, walks the anti-diagonals of
 the grid and clamps each base threshold into the ranges of values that
 classify the block's border lines exactly as its finished up/left
 neighbors do; a neighbor beyond the grid edge contributes the full range
-0..255. Last, one compare labels every pixel.
+0..255. Last, one compare per block row labels the image's pixels.
 
 Two range modes exist. ``strict`` (default) guarantees that the shared
 border pixels of adjacent blocks receive identical labels under both
@@ -80,8 +80,10 @@ class LabtResult:
     ``thresholds`` the values actually applied, and ``range_lo``/``range_hi``
     the effective range recorded per block (the applied threshold always
     lies inside it; blocks whose neighbor ranges were disjoint record the
-    degenerate range around the resolved threshold). ``binary`` is
-    C-contiguous but may be a view of a larger, padded label array.
+    degenerate range around the resolved threshold). ``binary`` is the
+    C-contiguous mask cropped to the input's shape; the runs of a multiscan
+    share one ``(3, height, width)`` buffer, each ``binary`` one plane of it.
+    ``padded`` is the edge-padded image the grid covers.
     """
 
     binary: np.ndarray
@@ -244,11 +246,17 @@ def _run_oriented(img, cfg: LabtConfig, orients) -> tuple[LabtResult, ...]:
     bases = np.stack([o(bases[0]) for o in orients] if aligned else bases)  # rebinding frees the unstacked ones
     seeds = [select_threshold(cfg.method, h) for h in hists] if cfg.seed_global else bases[:, 0, 0]
     final, range_lo, range_hi, disjoint = _scan(blocks, bases, seeds, cfg.mode)
-    # Thresholds lie in 0..255, so comparing as uint8 is exact and casts nothing.
-    labels = (blocks >= final.astype(np.uint8)[:, :, None, :, None]).reshape(pages.shape)
+    # Label only the image's pixels, one block row at a time, straight into
+    # the cropped mask. Thresholds lie in 0..255, so comparing as uint8 is exact.
+    binary = np.empty((len(orients), height, width), dtype=bool)
+    image = pages[:, :height, :width]
+    for r in range(grid.rows):
+        rows = slice(r * grid.block_h, (r + 1) * grid.block_h)
+        row_t = np.repeat(final[:, r].astype(np.uint8), grid.block_w, axis=1)[:, None, :width]
+        np.greater_equal(image[:, rows], row_t, out=binary[:, rows])
     return tuple(
         LabtResult(
-            binary=np.ascontiguousarray(labels[s, :height, :width]),
+            binary=binary[s],
             base_thresholds=bases[s],
             thresholds=final[s],
             range_lo=range_lo[s],

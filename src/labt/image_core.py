@@ -177,7 +177,10 @@ def write_pgm(img) -> bytes:
     if arr.dtype == np.bool_:
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError("expected a non-empty 2-D binary image")
-        arr = np.where(arr, np.uint8(255), np.uint8(0))
+        # Comparing the bytes yields 0/1 even where a True byte is not 1,
+        # which a bool-to-uint8 cast need not ensure; * 255 then works in place.
+        arr = (arr.view(np.uint8) != 0).view(np.uint8)
+        arr *= np.uint8(255)
     else:
         arr = as_gray(arr)
     height, width = arr.shape

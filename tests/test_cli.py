@@ -2,6 +2,7 @@ import argparse
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +122,23 @@ class TestBinarize:
         b = read_pgm(multi.read_bytes())
         # the OR pass only ever grows the foreground
         assert not ((a == 255) & (b == 0)).any()
+
+    def test_page_buffers_freed_before_the_mask_is_encoded(self, tmp_path):
+        # 128x128 blocks pad both axes of the 1500x1000 page
+        img = np.random.default_rng(4).integers(0, 256, (1500, 1000), dtype=np.uint8)
+        inp, out = tmp_path / "in.pgm", tmp_path / "out.pgm"
+        inp.write_bytes(write_pgm(img))
+        tracemalloc.start()
+        try:
+            rc = main(["binarize", str(inp), str(out), "--block", "128x128"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        # input, padded page and mask, each about one page
+        assert peak <= img.nbytes + 1536 * 1024 + img.nbytes + 2**20
+        want = run_labt(img, LabtConfig(block_w=128, block_h=128)).binary
+        assert out.read_bytes() == write_pgm(want)
 
     def test_missing_input_fails(self, tmp_path, capsys):
         rc = main(["binarize", str(tmp_path / "nope.pgm"), str(tmp_path / "o.pgm")])
@@ -390,6 +408,17 @@ class TestSweep:
         assert [(row[0], row[3]) for row in avg] == [("8", "2"), ("16", "2"), ("32", "1")]
         # only a.pgm ran size 32: its average is that image's row
         assert avg[2][:3] == per_image[2][1:]
+
+    def test_no_size_fits_fails_and_writes_no_csv(self, tmp_path, capsys):
+        inp = tmp_path / "in.pgm"
+        inp.write_bytes(b"P5\n64 48\n255\n" + bytes(range(256)) * 12)
+        csv_path = tmp_path / "sweep.csv"
+        assert main(["sweep", str(inp), "--csv", str(csv_path), "--sizes", "128,256"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "48 pixels" in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.pgm"]
 
     def test_repeated_size_rejected(self, doc_image, tmp_path, capsys):
         inp, _ = doc_image

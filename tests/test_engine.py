@@ -350,6 +350,18 @@ class TestRunLabt:
         assert res.binary.shape == shape and res.binary.dtype == bool
         assert_array_equal(res.binary, img >= t[: shape[0], : shape[1]])
 
+    def test_labels_need_no_buffer_beyond_the_mask(self, rng):
+        # 128x128 blocks pad both axes of the 1500x1000 page
+        img = rng.integers(0, 256, (1500, 1000), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            res = run_labt(img, LabtConfig(block_w=128, block_h=128))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.padded.shape == (1536, 1024)
+        assert peak <= res.padded.nbytes + res.binary.nbytes + 2**20
+
     def test_output_cropped_to_input(self, rng):
         img = rng.integers(0, 256, (21, 13), dtype=np.uint8)
         res = run_labt(img, LabtConfig(block_w=8, block_h=8))

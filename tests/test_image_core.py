@@ -256,6 +256,11 @@ class TestWritePgm:
         data = write_pgm(np.array([[False, True]]))
         assert data == b"P5\n2 1\n255\n" + bytes([0, 255])
 
+    def test_binary_bytes_other_than_0_and_1_map_to_255(self):
+        # a bool whose byte is not 0/1 is still True: each maps to 255, not byte * 255
+        mask = np.frombuffer(bytes([0, 1, 2, 255]), np.bool_).reshape(2, 2)
+        assert write_pgm(mask) == b"P5\n2 2\n255\n" + bytes([0, 255, 255, 255])
+
     @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
     def test_empty_binary_rejected(self, shape):
         with pytest.raises(ValueError, match="non-empty 2-D binary"):

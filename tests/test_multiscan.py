@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,6 +59,20 @@ class TestRunMultiscan:
             ms = run_multiscan(img, LabtConfig(block_w=4, block_h=4))
             for scan in ms.per_scan:
                 assert not (scan & ~ms.combined).any()
+
+    def test_padded_runs_hold_only_their_cropped_masks(self, rng):
+        # 128x128 blocks pad both axes of the 1500x1000 page
+        img = rng.integers(0, 256, (1500, 1000), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            ms = run_multiscan(img, LabtConfig(block_w=128, block_h=128))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for run in ms.runs:
+            assert run.binary.flags.c_contiguous and run.binary.shape == img.shape
+        held = sum(run.padded.nbytes + run.binary.nbytes for run in ms.runs)
+        assert peak <= held + ms.combined.nbytes + 2**20
 
     def test_asymmetric_case_strictly_grows_foreground(self):
         ms = run_multiscan(ASYMMETRIC_IMG, LabtConfig(block_w=2, block_h=2))
