@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
-from .engine import LabtConfig, LabtResult, run_labt
+from .engine import _MODES, LabtConfig, LabtResult, run_labt
 from .image_core import histogram, read_pgm, write_pgm
 from .metrics import continuity_violations, mean_range_width, psnr, sweep
 from .multiscan import run_multiscan
@@ -27,7 +27,11 @@ from .thresholders import (
 )
 
 DEFAULT_SWEEP_SIZES = [8, 16, 32, 64, 128]
-_BLOCK_METHODS = ("otsu", "adcdf", "meank")
+_METHODS = {  # --method's block thresholders, each built from the options it reads
+    "otsu": lambda args: Otsu(),
+    "adcdf": lambda args: Adcdf(rho=args.rho),
+    "meank": lambda args: MeanK(k=args.k),
+}
 
 _REPORT_HEADER = [
     "method",
@@ -65,9 +69,9 @@ def _parse_sizes(text: str):
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--k", type=float, default=-0.2, help="weight for meank/niblack")
-    common.add_argument("--rho", type=float, default=0.5, help="CDF area fraction for adcdf")
-    common.add_argument("--mode", choices=["strict", "paper"], default="strict")
+    common.add_argument("--k", type=float, default=MeanK.k, help="weight for meank/niblack")
+    common.add_argument("--rho", type=float, default=Adcdf.rho, help="CDF area fraction for adcdf")
+    common.add_argument("--mode", choices=_MODES, default=LabtConfig.mode)
     common.add_argument(
         "--no-global-seed",
         dest="seed_global",
@@ -75,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed the first block with its own threshold instead of the global one",
     )
     blocks = argparse.ArgumentParser(add_help=False, parents=[common])
-    blocks.add_argument("--window", type=int, default=15, help="odd niblack window size")
+    blocks.add_argument("--window", type=int, default=NiblackParams.window, help="odd niblack window size")
     blocks.add_argument(
         "--block",
         type=_parse_block,
@@ -93,12 +97,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_bin = sub.add_parser("binarize", parents=[blocks], help="binarize one PGM image")
     p_bin.add_argument("input", help="input PGM path")
     p_bin.add_argument("output", help="output PGM path")
-    p_bin.add_argument("--method", choices=[*_BLOCK_METHODS, "niblack"], default="otsu")
+    p_bin.add_argument("--method", choices=[*_METHODS, "niblack"], default="otsu")
     p_bin.add_argument(
         "--multiscan",
         action="store_true",
         help="OR the foregrounds of identity/vertical-flip/horizontal-flip scans",
     )
+    p_bin.set_defaults(run=_cmd_binarize)
 
     p_cmp = sub.add_parser(
         "compare",
@@ -108,22 +113,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("input", help="input PGM path")
     p_cmp.add_argument("outdir", help="directory for the per-method output images")
     p_cmp.add_argument("--csv", default=None, help="report path (default <outdir>/report.csv)")
+    p_cmp.set_defaults(run=_cmd_compare)
 
     p_sweep = sub.add_parser(
         "sweep", parents=[common], help="range statistics across block sizes"
     )
     p_sweep.add_argument("input", help="PGM file or directory of PGM files")
-    p_sweep.add_argument("--method", choices=_BLOCK_METHODS, default="otsu")
+    p_sweep.add_argument("--method", choices=list(_METHODS), default="otsu")
     p_sweep.add_argument("--csv", default="sweep.csv", help="per-image output CSV path")
     p_sweep.add_argument(
         "--sizes",
         type=_parse_sizes,
         default=DEFAULT_SWEEP_SIZES,
         metavar="N,N,...",
-        help="square block sizes to sweep (default: 8,16,32,64,128)",
+        help=f"square block sizes to sweep (default: {','.join(map(str, DEFAULT_SWEEP_SIZES))})",
     )
     # _labt_config reads args.block; sweep takes its block sides from --sizes
-    p_sweep.set_defaults(block=None)
+    p_sweep.set_defaults(run=_cmd_sweep, block=None)
     return parser
 
 
@@ -138,18 +144,11 @@ def _write_output(path, data: bytes) -> None:
             fh.truncate()
 
 
-def _labt_config(args, method=None) -> LabtConfig:
-    """``args``' block, mode and seeding options around ``method``, by default ``--method``'s."""
-    if method is None:
-        if args.method == "otsu":
-            method = Otsu()
-        elif args.method == "adcdf":
-            method = Adcdf(rho=args.rho)
-        else:
-            method = MeanK(k=args.k)
+def _labt_config(args, name=None) -> LabtConfig:
+    """``args``' block, mode and seeding options around method ``name``, by default ``--method``'s."""
     block_w, block_h = args.block if args.block else (None, None)
     return LabtConfig(
-        method=method,
+        method=_METHODS[name or args.method](args),
         block_w=block_w,
         block_h=block_h,
         mode=args.mode,
@@ -185,8 +184,7 @@ def _cmd_compare(args) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     params = NiblackParams(window=args.window, k=args.k)
-    otsu_cfg = _labt_config(args, Otsu())
-    adcdf_cfg = _labt_config(args, Adcdf(rho=args.rho))
+    otsu_cfg, adcdf_cfg = _labt_config(args, "otsu"), _labt_config(args, "adcdf")
     jobs = [
         ("global_otsu", lambda: binarize_global(img, select_threshold(Otsu(), histogram(img)))),
         ("niblack", lambda: niblack_binarize(img, params)),
@@ -219,7 +217,7 @@ def _cmd_compare(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(_REPORT_HEADER)
         writer.writerows(rows)
-    print(f"wrote 4 images to {outdir} and report to {csv_path}")
+    print(f"wrote {len(jobs)} images to {outdir} and report to {csv_path}")
     return 0
 
 
@@ -273,11 +271,7 @@ def _cmd_sweep(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "binarize":
-            return _cmd_binarize(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        return _cmd_sweep(args)
+        return args.run(args)
     except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

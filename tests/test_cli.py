@@ -3,6 +3,8 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import typing
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -12,11 +14,18 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_array_equal
 
-from labt.cli import build_parser, main
+from labt.cli import _METHODS, build_parser, main
 from labt.engine import LabtConfig, run_labt
 from labt.image_core import PgmError, read_pgm, write_pgm
 from labt.metrics import sweep
-from labt.thresholders import Adcdf, MeanK, NiblackParams, Otsu, niblack_binarize
+from labt.thresholders import (
+    Adcdf,
+    MeanK,
+    NiblackParams,
+    Otsu,
+    ThresholdMethod,
+    niblack_binarize,
+)
 from oracles import read_pgm_loop
 
 # --method choices that name a block thresholder, with the method each builds
@@ -71,6 +80,12 @@ class TestOptions:
             "sweep": ["otsu", "adcdf", "meank"],
         }
 
+    def test_method_table_builds_each_block_thresholder_once(self):
+        # the --method choices themselves are pinned by the test above
+        built = {name: make(argparse.Namespace(k=0.4, rho=0.3)) for name, make in _METHODS.items()}
+        assert built == dict(_BLOCK_METHODS)
+        assert Counter(map(type, built.values())) == Counter(typing.get_args(ThresholdMethod))
+
     @pytest.mark.parametrize(
         "command, flag, value",
         [("sweep", "--block", "4x4"), ("sweep", "--window", "7"), ("compare", "--method", "meank")],
@@ -98,11 +113,21 @@ class TestBinarize:
         assert mask.shape == img.shape
         assert set(np.unique(mask)) <= {0, 255}
 
-    def test_defaults_are_valid(self, doc_image, tmp_path):
-        inp, _ = doc_image
-        out = tmp_path / "out.pgm"
-        assert main(["binarize", str(inp), str(out)]) == 0
-        assert out.exists()
+    @pytest.mark.parametrize("name", ["otsu", "adcdf", "meank", "niblack"])
+    def test_defaults_are_valid(self, tmp_path, name):
+        # one --k serves meank and niblack, so its default is the default of both
+        assert MeanK.k == NiblackParams.k
+        # noise, so that a different k, rho, window or mode changes the mask
+        img = np.random.default_rng(7).integers(0, 256, (48, 64), dtype=np.uint8)
+        inp, out = tmp_path / "in.pgm", tmp_path / "out.pgm"
+        inp.write_bytes(write_pgm(img))
+        assert main(["binarize", str(inp), str(out), "--method", name]) == 0
+        if name == "niblack":
+            want = niblack_binarize(img)
+        else:
+            cls = {"otsu": Otsu, "adcdf": Adcdf, "meank": MeanK}[name]
+            want = run_labt(img, LabtConfig(method=cls())).binary
+        assert out.read_bytes() == write_pgm(want)
 
     def test_block_auto_is_the_default(self, doc_image, tmp_path, capsys):
         inp, _ = doc_image
