@@ -1,8 +1,9 @@
 """Block-adaptive image binarization with continuity-constrained thresholds.
 
-The package exports the user-facing API; engine internals such as
-``choose_grid`` or the batched scan helper ``neighbor_range`` stay
-importable from their modules (``labt.engine``, ``labt.image_core``, ...).
+The package exports the user-facing API; internals such as the engine's
+``choose_grid`` or the image statistics ``histogram`` and ``variance``
+stay importable from their modules (``labt.engine``, ``labt.image_core``,
+...).
 """
 
 from .engine import LabtConfig, LabtResult, run_labt

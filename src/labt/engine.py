@@ -28,6 +28,7 @@ from .image_core import as_gray, variance
 from .thresholders import Otsu, ThresholdMethod, select_threshold
 
 _MODES = ("strict", "paper")
+_TABLE_BYTES = 1 << 18  # the scan lays out border lines about this many bytes at a time
 
 
 @dataclass(frozen=True)
@@ -125,45 +126,6 @@ def choose_grid(arr: np.ndarray, cfg: LabtConfig = LabtConfig()) -> BlockGrid:
     )
 
 
-def neighbor_range(t_neighbor, border_lines, mode: str = "strict"):
-    """Ranges of thresholds that classify each border line like its neighbor.
-
-    Row i of the ``(n, L)`` ``border_lines`` is bracketed around
-    ``t_neighbor[i]``: the closest value below it (or -1) sets the exclusive
-    lower end, the closest above it (or 255) the inclusive upper end. Strict
-    mode (any other mode is paper) counts pixels equal to the threshold as
-    above it, so they cap the range there and cannot flip label. Each range
-    contains its threshold; returns ``(n,)`` lo and hi.
-    """
-    lines = np.asarray(border_lines, dtype=np.int16)
-    if lines.shape[-1] == 0:
-        raise ValueError("border lines must be non-empty")
-    t = np.asarray(t_neighbor)[:, None]
-    above = lines >= t if mode == "strict" else lines > t
-    lo = np.where(lines < t, lines, -1).max(axis=1) + 1
-    hi = np.where(above, lines, 255).min(axis=1)
-    return lo, hi
-
-
-def resolve_empty(candidates, base, top, left):
-    """Pick fallback thresholds for blocks whose neighbor ranges are disjoint.
-
-    Row i of the ``(m, 6)`` ``candidates`` holds the up and left ranges'
-    ends, then ``t_up`` and ``t_left``. The winner leaves the fewest pixels
-    of ``top[i]`` and ``left[i]`` labeled unlike the neighbors label them,
-    breaking ties toward the candidate nearest ``base[i]``, then the smallest.
-    """
-    cand = np.asarray(candidates, dtype=np.int64)
-    top, left = np.asarray(top)[:, None], np.asarray(left)[:, None]
-    t_up, t_left = cand[:, 4, None, None], cand[:, 5, None, None]
-    bad = ((top >= cand[..., None]) != (top >= t_up)).sum(-1)
-    bad += ((left >= cand[..., None]) != (left >= t_left)).sum(-1)
-    # Candidates and distances lie in 0..255, so the key orders
-    # (disagreements, distance, value) lexicographically.
-    key = (bad * 512 + abs(cand - np.asarray(base)[:, None])) * 512 + cand
-    return cand[np.arange(len(cand)), key.argmin(axis=1)]
-
-
 def _base_thresholds(blocks, method: ThresholdMethod):
     """Base stage: threshold each block of the ``(rows, bh, cols, bw)`` view.
 
@@ -174,7 +136,8 @@ def _base_thresholds(blocks, method: ThresholdMethod):
     rows, _, cols, _ = blocks.shape
     base = np.empty((rows, cols), dtype=np.int32)
     page = np.zeros(256, dtype=np.int64)
-    bin_base = np.arange(0, cols * 256, 256)[:, None]
+    # The narrowest type that holds every bin index; the counts are int64 anyway.
+    bin_base = np.arange(0, cols * 256, 256, dtype=np.min_scalar_type(cols * 256 - 1))[:, None]
     for r, pixels in enumerate(blocks):
         band = (bin_base + pixels).ravel()
         hists = np.bincount(band, minlength=cols * 256).reshape(cols, 256)
@@ -183,46 +146,91 @@ def _base_thresholds(blocks, method: ThresholdMethod):
     return base, page
 
 
+def _border_table(lines, flat, pos, rows: int):
+    """The scan's view of the blocks of flat indices ``flat``, in that order.
+
+    ``lines`` is the ``(k * rows, bh, cols, bw)`` block stack and ``pos`` each
+    block's diagonal position. Returns the blocks' top and left border lines
+    as a pixel-major ``(max(bh, bw), 2, m)`` uint8 table, and the positions of
+    their up and left neighbors (0 where there is none). 255 fills the
+    shorter line and the lines of a missing neighbor: such a pixel is never
+    below a threshold and caps no range below 255, so an edge line admits
+    the full range 0..255.
+    """
+    _, bh, cols, bw = lines.shape
+    line_row, c = np.divmod(flat, cols)  # s * rows + r, and c
+    has = np.stack((line_row % rows > 0, c > 0))
+    tab = np.full((max(bh, bw), 2, len(flat)), 255, np.uint8)
+    tab[:bw, 0] = lines[line_row, 0, c].T
+    tab[:bh, 1] = lines[line_row, :, c, 0].T
+    tab[:, ~has] = 255
+    return tab, np.where(has, pos[np.stack((flat - cols, flat - 1))], 0)
+
+
 def _scan(blocks, base, seeds, mode: str):
     """Sequential stage: clamp each base threshold into its neighbors' range.
 
     ``blocks`` stacks k padded images' ``(rows, bh, cols, bw)`` views, ``base``
-    their ``(k, rows, cols)`` thresholds; grid s starts from ``seeds[s]``, and
-    one diagonal of all k is one batch. Returns the applied thresholds, the
-    recorded ranges and the disjoint-range mask, each shaped like ``base``.
+    their ``(k, rows, cols)`` thresholds; grid s starts from ``seeds[s]``.
+    The blocks are laid out in anti-diagonal order, so that one diagonal of
+    all k grids, whose blocks depend only on the diagonal before, is one
+    slice; their border lines are laid out a piece of the order at a time.
+    Returns the applied thresholds, the recorded ranges and the
+    disjoint-range mask, each shaped like ``base``.
     """
     k, rows, cols = base.shape
-    final = base.copy()
-    final[:, 0, 0] = seeds
-    flat, base_flat = final.reshape(-1), base.reshape(-1)
-    range_lo, range_hi = np.zeros(final.size, np.int32), np.full(final.size, 255, np.int32)
-    disjoint = np.zeros(final.size, dtype=bool)
+    n = base.size
     lines = blocks.reshape(k * rows, *blocks.shape[2:])
-    grid_offsets = np.arange(0, final.size, rows * cols)[:, None]
-    # Row 0's t_up and column 0's t_left wrap to other blocks; 0..255 stands in.
-    for d in range(1, rows + cols - 1):
-        r = np.arange(max(0, d - cols + 1), min(d, rows - 1) + 1)
-        g = (grid_offsets + r * (cols - 1) + d).ravel()  # flat index of (r, d - r)
-        line_row, c = np.divmod(g, cols)
-        t_up, t_left = flat[g - cols], flat[g - 1]
-        top, left = lines[line_row, 0, c], lines[line_row, :, c, 0]
-        up_lo, up_hi = neighbor_range(t_up, top, mode)
-        left_lo, left_hi = neighbor_range(t_left, left, mode)
-        n = len(r)
-        if r[0] == 0:
-            up_lo[::n], up_hi[::n] = 0, 255
-        if r[-1] == d:
-            left_lo[n - 1 :: n], left_hi[n - 1 :: n] = 0, 255
-        lo, hi = np.maximum(up_lo, left_lo), np.minimum(up_hi, left_hi)
-        t = np.minimum(np.maximum(base_flat[g], lo), hi)
-        empty = lo > hi
+    # A stable sort by r + c keeps each diagonal's blocks in (s, r) order;
+    # diagonal 0 holds block (s, 0, 0) of each grid.
+    diag = np.tile(np.add.outer(np.arange(rows, dtype=np.int32), np.arange(cols, dtype=np.int32)).ravel(), k)
+    order = np.argsort(diag, kind="stable").astype(np.int32)
+    ends = np.cumsum(np.bincount(diag)).tolist()
+    del diag
+    pos = np.empty(n, np.int32)
+    pos[order] = np.arange(n, dtype=np.int32)
+    b = base.reshape(-1)[order]
+    fin = np.empty(n, base.dtype)
+    fin[:k] = seeds
+    range_lo, range_hi = np.zeros(n, np.int32), np.full(n, 255, np.int32)
+    disjoint = np.zeros(n, dtype=bool)
+    strict = mode == "strict"
+    piece = max(1, _TABLE_BYTES // (2 * max(lines.shape[1], lines.shape[3])))  # blocks per table piece
+    p0 = p1 = 0
+    for s, e in zip(ends, ends[1:]):
+        if e > p1:  # the next piece starts at this diagonal
+            p0, p1 = s, max(e, s + piece)
+            tab, nb = _border_table(lines, order[p0:p1], pos, rows)
+        # a diagonal's (W, 2, m) border lines and (2, m) neighbor thresholds
+        x, t = tab[:, :, s - p0 : e - p0], fin[nb[:, s - p0 : e - p0]]
+        below = x < t
+        # A line admits (closest value below t, closest value at or above t];
+        # paper mode lets values equal to t flip, so they cap nothing. 255 is
+        # never below t, so its x + 1 wrapping to 0 is harmless.
+        lo2 = ((x + 1) * below).max(axis=0)
+        hi2 = np.where(below if strict else x <= t, 255, x).min(axis=0)
+        lo, hi, applied = range_lo[s:e], range_hi[s:e], fin[s:e]
+        np.maximum(*lo2, out=lo)
+        np.minimum(*hi2, out=hi)
+        np.minimum(np.maximum(b[s:e], lo), hi, out=applied)
+        empty = np.greater(lo, hi, out=disjoint[s:e])
         if empty.any():
-            cand = np.stack((up_lo, up_hi, left_lo, left_hi, t_up, t_left), axis=1)
-            t[empty] = lo[empty] = hi[empty] = resolve_empty(
-                cand[empty], base_flat[g][empty], top[empty], left[empty]
-            )
-        flat[g], range_lo[g], range_hi[g], disjoint[g] = t, lo, hi, empty
-    return final, *(a.reshape(final.shape) for a in (range_lo, range_hi, disjoint))
+            # Disjoint ranges: of the up and left ranges' ends and the two
+            # neighbor thresholds, pick the one that mislabels the fewest
+            # border pixels, then the one nearest the base threshold, then the
+            # smallest. A line's count of values below c is a rank, so
+            # candidate c mislabels |#(v < c) - #(v < t)| of its pixels.
+            cand = np.concatenate((lo2, hi2, t))  # lo_up, lo_left, hi_up, hi_left, t_up, t_left
+            ranks = (x[:, :, None] < cand).sum(axis=0, dtype=np.int32)  # (2 lines, 6, m)
+            bad = np.add(abs(ranks[0] - ranks[0, 4]), abs(ranks[1] - ranks[1, 5]), dtype=np.int64)
+            # Candidates and distances lie in 0..255, so the key orders
+            # (disagreements, distance, value) lexicographically, and its
+            # low 9 bits are the value.
+            best = ((bad * 512 + abs(cand - b[s:e])) * 512 + cand).min(axis=0) & 511
+            for a in (applied, lo, hi):
+                np.copyto(a, best, where=empty)
+    del order, b  # freed before the results are gathered
+    return tuple(a[pos].reshape(base.shape) for a in (fin, range_lo, range_hi, disjoint))
 
 
 def _run_oriented(img, cfg: LabtConfig, orients) -> tuple[LabtResult, ...]:

@@ -24,6 +24,11 @@ _WHITESPACE = b" \t\n\r\x0b\x0c"
 # matches exactly the six _WHITESPACE bytes.
 _HEADER_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*([^\s#]*)")
 
+# P2 samples are parsed in chunks of about this many payload bytes
+_P2_CHUNK = 1 << 16
+_SEPARATOR = re.compile(rb"\s")
+_LINE_END = re.compile(rb"[\r\n]")
+
 # byte kinds in a P2 payload: 0 separator, 1 "0", 2 "1".."9", 3 any other
 _P2_KIND = np.full(256, 3, dtype=np.uint8)
 _P2_KIND[list(_WHITESPACE)] = 0
@@ -111,23 +116,62 @@ def read_pgm(data: bytes) -> np.ndarray:
             f"truncated payload: expected {count} samples, "
             f"but only {len(buf) - pos} bytes follow the header"
         )
-    # A "#" ends a token, so turning each comment into one space moves no
-    # token boundary.
-    rest = buf[pos:]
-    if b"#" in rest:
-        rest = re.sub(rb"#[^\r\n]*", b" ", rest)
-    a = np.frombuffer(rest, dtype=np.uint8)
+    samples = np.empty(count, dtype=np.uint8)
+    done = 0
+    while done < count and pos < len(buf):
+        stop = _p2_cut(buf, pos)
+        chunk = buf[pos:stop]
+        # A "#" ends a token, so turning each comment into one space moves no
+        # token boundary.
+        if b"#" in chunk:
+            chunk = re.sub(rb"#[^\r\n]*", b" ", chunk)
+        values = _p2_values(chunk, count - done, maxval)
+        samples[done : done + len(values)] = values
+        done, pos = done + len(values), stop
+    if done < count:
+        raise PgmError(f"truncated payload: expected {count} samples, got {done}")
+    return samples.reshape(height, width)
+
+
+def _p2_cut(buf: bytes, start: int) -> int:
+    """End of the P2 chunk that starts at ``start``, outside any token or comment.
+
+    The chunk ends just past its last separator within ``_P2_CHUNK`` bytes,
+    or past the next separator when there is none, so no token spans two
+    chunks. A chunk that holds a "#" ends past a line end instead, so that
+    each comment ends inside its chunk.
+    """
+    if start + _P2_CHUNK >= len(buf):
+        return len(buf)
+    cut = max(buf.rfind(c, start, start + _P2_CHUNK) for c in _WHITESPACE) + 1
+    if not cut:
+        match = _SEPARATOR.search(buf, start + _P2_CHUNK)
+        cut = match.end() if match else len(buf)
+    if buf.find(b"#", start, cut) >= 0:
+        line_end = max(buf.rfind(b"\n", start, cut), buf.rfind(b"\r", start, cut)) + 1
+        match = None if line_end else _LINE_END.search(buf, cut)
+        cut = line_end or (match.end() if match else len(buf))
+    return cut
+
+
+def _p2_values(chunk: bytes, limit: int, maxval: int) -> np.ndarray:
+    """The int16 values of the first ``limit`` sample tokens of a P2 chunk.
+
+    The chunk holds whole tokens and no comment. A bad token raises
+    :class:`PgmError`; of several, the first in stream order is reported.
+    """
+    a = np.frombuffer(chunk, dtype=np.uint8)
     kind = _P2_KIND[a]
     in_token = kind != 0
     edges = np.flatnonzero(np.diff(in_token, prepend=False, append=False))
-    # samples past width*height are never examined
-    starts, ends = edges[0::2][:count], edges[1::2][:count]
-    n = len(starts)
-    stop = int(ends[-1]) if n else 0
+    # samples past the limit are never examined
+    starts, ends = edges[0::2][:limit], edges[1::2][:limit]
+    stop = int(ends[-1]) if len(ends) else 0
 
-    values = np.zeros(n, dtype=np.int16)
+    values = np.zeros(len(ends), dtype=np.int16)
     for place in range(3):
-        digit = a[ends - 1 - place].astype(np.int16) - ord("0")
+        # a token of `place` bytes or fewer takes no digit here, so any index serves
+        digit = a.take(ends - 1 - place, mode="clip").astype(np.int16) - ord("0")
         values += np.where(ends - starts > place, digit * 10**place, 0)
     # A token is bad if its last three digits exceed maxval, if a nonzero
     # digit precedes its last three (so it exceeds 999), or if it holds a
@@ -144,13 +188,11 @@ def read_pgm(data: bytes) -> np.ndarray:
             bad[np.searchsorted(ends, p)] = True
     k = _first(bad)
     if k is not None:
-        tok = rest[starts[k] : ends[k]]
+        tok = chunk[starts[k] : ends[k]]
         if not tok.isdigit():
             raise PgmError(f"non-numeric sample token {tok!r}")
         raise PgmError(f"sample value {_parse_int(tok, 'sample')} exceeds maxval {maxval}")
-    if n < count:
-        raise PgmError(f"truncated payload: expected {count} samples, got {n}")
-    return values.astype(np.uint8).reshape(height, width)
+    return values
 
 
 def _parse_int(tok: bytes, what: str) -> int:

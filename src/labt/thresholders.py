@@ -53,6 +53,7 @@ class MeanK:
 
 
 ThresholdMethod = Otsu | Adcdf | MeanK
+_BAND = 32  # image rows per Niblack band
 _MAX_TOTAL = np.iinfo(np.int64).max // 255**2  # sums of count * level**2 fit int64
 
 
@@ -149,36 +150,70 @@ def binarize_global(img, t: int) -> np.ndarray:
 
 
 def _window_sums(vals, reach: int) -> np.ndarray:
-    """Sums of 2-D ``vals`` over windows reaching ``reach`` to each side, clipped
-    at the borders, along one axis and then the other: with ``reach + 1``
-    zeros in front of the int64 prefix sums and ``reach`` copies of the total
-    behind, each sum is the difference of two slices."""
-    for axis in (0, 1):
-        side = vals.shape[axis]
-        span = min(reach, side)  # every reach past the side clips alike
-        shape = vals.shape[:axis] + (side + 2 * span + 1,) + vals.shape[axis + 1 :]
-        table = np.moveaxis(np.zeros(shape, dtype=np.int64), axis, 0)  # a view, summed axis first
-        body = table[span + 1 : span + 1 + side]
-        np.cumsum(vals, axis=axis, dtype=np.int64, out=np.moveaxis(body, 0, axis))
-        table[span + 1 + side :] = body[-1]
-        vals = np.moveaxis(table[2 * span + 1 :] - table[:side], 0, axis)
-    return vals
+    """Sums of ``vals`` along its last axis over windows reaching ``reach`` to
+    each side, clipped at the ends: with ``reach + 1`` zeros in front of the
+    int64 prefix sums and ``reach`` copies of the total behind, each sum is
+    the difference of two slices."""
+    side = vals.shape[-1]
+    span = min(reach, side)  # every reach past the side clips alike
+    table = np.zeros(vals.shape[:-1] + (side + 2 * span + 1,), dtype=np.int64)
+    body = table[..., span + 1 : span + 1 + side]
+    np.cumsum(vals, axis=-1, dtype=np.int64, out=body)
+    table[..., span + 1 + side :] = body[..., -1:]
+    return table[..., 2 * span + 1 :] - table[..., :side]
+
+
+def _prefix_rows(arr, edges):
+    """Yield, for each run of row indices ``i`` in ``edges`` (non-decreasing
+    from run to run, each run spanning at most ``_BAND`` rows), the int64
+    sums of ``arr[:i]``'s pixels and of their squares, shaped ``(2, len(i),
+    width)``. One running prefix row is carried, so each row is read once."""
+    carry, at = np.zeros((2, arr.shape[1]), np.int64), 0
+    for i in edges:
+        start, stop = int(i[0]), int(i[-1])
+        for r in range(at, start, _BAND):  # rows before the run: their totals only
+            rows = arr[r : min(r + _BAND, start)]
+            carry[0] += rows.sum(axis=0, dtype=np.int64)
+            carry[1] += np.square(rows, dtype=np.int64).sum(axis=0)
+        sums = np.empty((2, stop - start + 1, arr.shape[1]), np.int64)
+        sums[:, 0] = carry
+        sums[0, 1:] = arr[start:stop]
+        np.square(arr[start:stop], out=sums[1, 1:], dtype=np.int64)
+        np.cumsum(sums, axis=1, out=sums)
+        carry, at = sums[:, -1].copy(), stop
+        # a run steps by 0 or 1, so it is consecutive when it has one index per row
+        yield sums if len(i) == len(sums[0]) else sums[:, i - start]
 
 
 def niblack_binarize(img, params: NiblackParams = NiblackParams()) -> np.ndarray:
     """Per-pixel thresholding at local mean + k * local stddev.
 
     Statistics come from the window centered at each pixel, clipped at the
-    image borders. Window sums are exact int64 prefix-sum differences along
-    one axis, then the other, so runtime is independent of the window size.
+    image borders. Window sums are exact int64 differences of prefix sums,
+    so runtime is independent of the window size. The image is labeled in
+    bands of ``_BAND`` rows: each band's column sums come from two running
+    prefix rows, one per window edge, so memory stays a few bands.
     """
     arr = as_gray(img)
+    height, width = arr.shape
     reach = params.window // 2
-    # the pixels in each clipped window, as one column's times one row's
-    ones = np.broadcast_to(True, arr.shape)
-    area = _window_sums(ones[:, :1], reach) * _window_sums(ones[:1], reach)
-    mu = _window_sums(arr, reach) / area
-    var = _window_sums(np.square(arr, dtype=np.int64), reach) / area - mu * mu
-    with np.errstate(over="ignore"):  # a huge k gives +-inf: no/all foreground
-        thresh = mu + params.k * np.sqrt(np.clip(var, 0.0, None))
-    return arr >= thresh
+    span = min(reach, height)  # every reach past the height clips alike
+    bands = [np.arange(y, min(y + _BAND, height)) for y in range(0, height, _BAND)]
+    # each band row's window takes the image rows [trail, lead)
+    leads = [np.minimum(y + span + 1, height) for y in bands]
+    trails = [np.maximum(y - span, 0) for y in bands]
+    columns = _window_sums(np.ones(width, np.int64), reach)  # the pixels per window, one row's
+    binary = np.empty(arr.shape, dtype=bool)
+    for y, lead, trail, upto_lead, upto_trail in zip(
+        bands, leads, trails, _prefix_rows(arr, leads), _prefix_rows(arr, trails)
+    ):
+        upto_lead -= upto_trail  # the windows' column sums; its generator is done with it
+        total, squares = _window_sums(upto_lead, reach)
+        area = (lead - trail)[:, None] * columns
+        mu = total / area
+        var = squares / area - mu * mu
+        with np.errstate(over="ignore"):  # a huge k gives +-inf: no/all foreground
+            thresh = mu + params.k * np.sqrt(np.clip(var, 0.0, None))
+        rows = slice(y[0], y[-1] + 1)
+        np.greater_equal(arr[rows], thresh, out=binary[rows])
+    return binary

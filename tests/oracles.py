@@ -11,7 +11,10 @@ and :func:`run_labt_raster`, the original one-loop engine built on them. It
 still calls the library's grid and padding helpers, but shares no scan code
 with the engine; engine rewrites are checked against it field by field.
 :func:`read_pgm_loop` is the original PGM reader, which parses P2 samples
-one token at a time.
+one token at a time. :func:`scan_reference` is the engine's earlier scan,
+built on the batched range helpers :func:`batched_neighbor_range` and
+:func:`batched_resolve_empty`; the table-driven ``labt.engine._scan`` is
+checked against it array by array.
 """
 
 import math
@@ -452,3 +455,85 @@ def run_labt_raster(img, cfg: LabtConfig = LabtConfig()) -> LabtResult:
         grid=grid,
         padded=padded,
     )
+
+
+def batched_neighbor_range(t_neighbor, border_lines, mode: str = "strict"):
+    """Ranges of thresholds that classify each border line like its neighbor.
+
+    Row i of the ``(n, L)`` ``border_lines`` is bracketed around
+    ``t_neighbor[i]``: the closest value below it (or -1) sets the exclusive
+    lower end, the closest above it (or 255) the inclusive upper end. Strict
+    mode (any other mode is paper) counts pixels equal to the threshold as
+    above it, so they cap the range there and cannot flip label. Each range
+    contains its threshold; returns ``(n,)`` lo and hi.
+    """
+    lines = np.asarray(border_lines, dtype=np.int16)
+    if lines.shape[-1] == 0:
+        raise ValueError("border lines must be non-empty")
+    t = np.asarray(t_neighbor)[:, None]
+    above = lines >= t if mode == "strict" else lines > t
+    lo = np.where(lines < t, lines, -1).max(axis=1) + 1
+    hi = np.where(above, lines, 255).min(axis=1)
+    return lo, hi
+
+
+def batched_resolve_empty(candidates, base, top, left):
+    """Pick fallback thresholds for blocks whose neighbor ranges are disjoint.
+
+    Row i of the ``(m, 6)`` ``candidates`` holds the up and left ranges'
+    ends, then ``t_up`` and ``t_left``. The winner leaves the fewest pixels
+    of ``top[i]`` and ``left[i]`` labeled unlike the neighbors label them,
+    breaking ties toward the candidate nearest ``base[i]``, then the smallest.
+    """
+    cand = np.asarray(candidates, dtype=np.int64)
+    top, left = np.asarray(top)[:, None], np.asarray(left)[:, None]
+    t_up, t_left = cand[:, 4, None, None], cand[:, 5, None, None]
+    bad = ((top >= cand[..., None]) != (top >= t_up)).sum(-1)
+    bad += ((left >= cand[..., None]) != (left >= t_left)).sum(-1)
+    # Candidates and distances lie in 0..255, so the key orders
+    # (disagreements, distance, value) lexicographically.
+    key = (bad * 512 + abs(cand - np.asarray(base)[:, None])) * 512 + cand
+    return cand[np.arange(len(cand)), key.argmin(axis=1)]
+
+
+def scan_reference(blocks, base, seeds, mode: str):
+    """The engine's earlier scan: two batched range calls per anti-diagonal.
+
+    Same arguments and results as ``labt.engine._scan``: ``blocks`` stacks k
+    padded images' ``(rows, bh, cols, bw)`` views, ``base`` their ``(k, rows,
+    cols)`` thresholds; grid s starts from ``seeds[s]``, and one diagonal of
+    all k is one batch. The disjoint blocks of a diagonal are gathered out
+    and resolved by :func:`batched_resolve_empty`.
+    """
+    k, rows, cols = base.shape
+    final = base.copy()
+    final[:, 0, 0] = seeds
+    flat, base_flat = final.reshape(-1), base.reshape(-1)
+    range_lo, range_hi = np.zeros(final.size, np.int32), np.full(final.size, 255, np.int32)
+    disjoint = np.zeros(final.size, dtype=bool)
+    lines = blocks.reshape(k * rows, *blocks.shape[2:])
+    grid_offsets = np.arange(0, final.size, rows * cols)[:, None]
+    # Row 0's t_up and column 0's t_left wrap to other blocks; 0..255 stands in.
+    for d in range(1, rows + cols - 1):
+        r = np.arange(max(0, d - cols + 1), min(d, rows - 1) + 1)
+        g = (grid_offsets + r * (cols - 1) + d).ravel()  # flat index of (r, d - r)
+        line_row, c = np.divmod(g, cols)
+        t_up, t_left = flat[g - cols], flat[g - 1]
+        top, left = lines[line_row, 0, c], lines[line_row, :, c, 0]
+        up_lo, up_hi = batched_neighbor_range(t_up, top, mode)
+        left_lo, left_hi = batched_neighbor_range(t_left, left, mode)
+        n = len(r)
+        if r[0] == 0:
+            up_lo[::n], up_hi[::n] = 0, 255
+        if r[-1] == d:
+            left_lo[n - 1 :: n], left_hi[n - 1 :: n] = 0, 255
+        lo, hi = np.maximum(up_lo, left_lo), np.minimum(up_hi, left_hi)
+        t = np.minimum(np.maximum(base_flat[g], lo), hi)
+        empty = lo > hi
+        if empty.any():
+            cand = np.stack((up_lo, up_hi, left_lo, left_hi, t_up, t_left), axis=1)
+            t[empty] = lo[empty] = hi[empty] = batched_resolve_empty(
+                cand[empty], base_flat[g][empty], top[empty], left[empty]
+            )
+        flat[g], range_lo[g], range_hi[g], disjoint[g] = t, lo, hi, empty
+    return final, *(a.reshape(final.shape) for a in (range_lo, range_hi, disjoint))

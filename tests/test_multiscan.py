@@ -149,7 +149,7 @@ class TestMatchesThreeRuns:
         ids=["aligned", "padded", "one_row", "one_column", "one_column_padded"],
     )
     def test_one_wavefront_for_three_scans(self, rng, monkeypatch, shape, block, grid, base_stages):
-        calls = {"neighbor_range": [], "select_threshold": []}
+        calls = {"_scan": [], "select_threshold": []}
         for name, log in calls.items():
             original = getattr(labt.engine, name)
             monkeypatch.setattr(labt.engine, name, lambda *a, f=original, log=log: log.append(a) or f(*a))
@@ -157,9 +157,8 @@ class TestMatchesThreeRuns:
         ms = run_multiscan(img, LabtConfig(block_w=block, block_h=block))
         rows, cols = grid
         assert (ms.runs[0].grid.rows, ms.runs[0].grid.cols) == grid
-        assert len(calls["neighbor_range"]) == 2 * (rows + cols - 2)
-        # every call batches one diagonal of all three grids
-        assert sum(len(t) for t, _, _ in calls["neighbor_range"]) == 2 * 3 * (rows * cols - 1)
+        # one scan takes the base thresholds of all three grids
+        assert [a[1].shape for a in calls["_scan"]] == [(3, rows, cols)]
         # an aligned grid shares one base stage (one call per block row) and
         # one global seed; a padded one runs both per orientation
         assert len(calls["select_threshold"]) == base_stages * (rows + 1)
