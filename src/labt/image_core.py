@@ -26,8 +26,6 @@ _HEADER_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*([^\s#]*)")
 
 # P2 samples are parsed in chunks of about this many payload bytes
 _P2_CHUNK = 1 << 16
-_SEPARATOR = re.compile(rb"\s")
-_LINE_END = re.compile(rb"[\r\n]")
 
 # byte kinds in a P2 payload: 0 separator, 1 "0", 2 "1".."9", 3 any other
 _P2_KIND = np.full(256, 3, dtype=np.uint8)
@@ -119,6 +117,7 @@ def read_pgm(data: bytes) -> np.ndarray:
     samples = np.empty(count, dtype=np.uint8)
     done = 0
     while done < count and pos < len(buf):
+        pos = _HEADER_TOKEN.match(buf, pos).start(1)  # past separators and comments, uncopied
         stop = _p2_cut(buf, pos)
         chunk = buf[pos:stop]
         # A "#" ends a token, so turning each comment into one space moves no
@@ -134,23 +133,23 @@ def read_pgm(data: bytes) -> np.ndarray:
 
 
 def _p2_cut(buf: bytes, start: int) -> int:
-    """End of the P2 chunk that starts at ``start``, outside any token or comment.
+    """End of the P2 chunk whose first token starts at ``start``.
 
     The chunk ends just past its last separator within ``_P2_CHUNK`` bytes,
-    or past the next separator when there is none, so no token spans two
-    chunks. A chunk that holds a "#" ends past a line end instead, so that
-    each comment ends inside its chunk.
+    or at the end of its first token when there is none, so no token spans
+    two chunks. A chunk that holds a "#" ends past its last line end, so
+    each comment ends inside its chunk, or, with no line end, just before
+    the "#", which ends a token. So no chunk longer than ``_P2_CHUNK`` bytes
+    holds a comment.
     """
     if start + _P2_CHUNK >= len(buf):
         return len(buf)
     cut = max(buf.rfind(c, start, start + _P2_CHUNK) for c in _WHITESPACE) + 1
     if not cut:
-        match = _SEPARATOR.search(buf, start + _P2_CHUNK)
-        cut = match.end() if match else len(buf)
-    if buf.find(b"#", start, cut) >= 0:
-        line_end = max(buf.rfind(b"\n", start, cut), buf.rfind(b"\r", start, cut)) + 1
-        match = None if line_end else _LINE_END.search(buf, cut)
-        cut = line_end or (match.end() if match else len(buf))
+        cut = _HEADER_TOKEN.match(buf, start).end()
+    hash_at = buf.find(b"#", start, cut)
+    if hash_at >= 0:
+        cut = max(buf.rfind(b"\n", start, cut), buf.rfind(b"\r", start, cut)) + 1 or hash_at
     return cut
 
 

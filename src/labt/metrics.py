@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .engine import LabtConfig, LabtResult, choose_grid, run_labt
-from .image_core import as_gray
+from .image_core import as_gray, histogram
 
 
 @dataclass(frozen=True)
@@ -22,7 +22,8 @@ class SweepRow:
 def psnr(original, binary) -> float:
     """PSNR in dB between a grayscale image and a {0,255}-mapped mask.
 
-    Returns ``math.inf`` when the images agree exactly (zero MSE).
+    Returns ``math.inf`` when the images agree exactly (zero MSE). The
+    squared error is summed exactly, in integers.
     """
     gray = as_gray(original)
     mask = np.asarray(binary)
@@ -30,8 +31,14 @@ def psnr(original, binary) -> float:
         raise ValueError(
             f"dimension mismatch: {gray.shape} grayscale vs {mask.shape} mask"
         )
-    mapped = np.where(mask.astype(bool), 255.0, 0.0)
-    mse = float(np.mean((gray.astype(np.float64) - mapped) ** 2))
+    fg = mask.astype(bool, copy=False)
+    # (g - 255)**2 = g**2 - 510 g + 255**2 on the foreground: no page-sized temporary
+    sse = (
+        int(histogram(gray) @ np.arange(256) ** 2)
+        - 510 * int(gray.sum(where=fg, dtype=np.int64))
+        + 255**2 * int(np.count_nonzero(fg))
+    )
+    mse = sse / gray.size
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(255.0**2 / mse)
@@ -72,5 +79,6 @@ def sweep(img, cfg: LabtConfig, block_sizes: Sequence[int]) -> list[SweepRow]:
         result = run_labt(arr, size_cfg)
         fraction = result.out_of_range_count / (grid.rows * grid.cols)
         rows.append(SweepRow(size, mean_range_width(result), fraction))
+        del result  # the next size's run would otherwise hold two results
     return rows
 

@@ -163,57 +163,48 @@ def _window_sums(vals, reach: int) -> np.ndarray:
     return table[..., 2 * span + 1 :] - table[..., :side]
 
 
-def _prefix_rows(arr, edges):
-    """Yield, for each run of row indices ``i`` in ``edges`` (non-decreasing
-    from run to run, each run spanning at most ``_BAND`` rows), the int64
-    sums of ``arr[:i]``'s pixels and of their squares, shaped ``(2, len(i),
-    width)``. One running prefix row is carried, so each row is read once."""
-    carry, at = np.zeros((2, arr.shape[1]), np.int64), 0
-    for i in edges:
-        start, stop = int(i[0]), int(i[-1])
-        for r in range(at, start, _BAND):  # rows before the run: their totals only
-            rows = arr[r : min(r + _BAND, start)]
-            carry[0] += rows.sum(axis=0, dtype=np.int64)
-            carry[1] += np.square(rows, dtype=np.int64).sum(axis=0)
-        sums = np.empty((2, stop - start + 1, arr.shape[1]), np.int64)
-        sums[:, 0] = carry
-        sums[0, 1:] = arr[start:stop]
-        np.square(arr[start:stop], out=sums[1, 1:], dtype=np.int64)
-        np.cumsum(sums, axis=1, out=sums)
-        carry, at = sums[:, -1].copy(), stop
-        # a run steps by 0 or 1, so it is consecutive when it has one index per row
-        yield sums if len(i) == len(sums[0]) else sums[:, i - start]
-
-
 def niblack_binarize(img, params: NiblackParams = NiblackParams()) -> np.ndarray:
     """Per-pixel thresholding at local mean + k * local stddev.
 
     Statistics come from the window centered at each pixel, clipped at the
     image borders. Window sums are exact int64 differences of prefix sums,
     so runtime is independent of the window size. The image is labeled in
-    bands of ``_BAND`` rows: each band's column sums come from two running
-    prefix rows, one per window edge, so memory stays a few bands.
+    bands of ``_BAND`` rows from one running window row, the column sums of
+    the last window: each row adds the image row that enters its window and
+    takes away the one that leaves, so memory stays a few bands.
     """
     arr = as_gray(img)
     height, width = arr.shape
     reach = params.window // 2
     span = min(reach, height)  # every reach past the height clips alike
-    bands = [np.arange(y, min(y + _BAND, height)) for y in range(0, height, _BAND)]
-    # each band row's window takes the image rows [trail, lead)
-    leads = [np.minimum(y + span + 1, height) for y in bands]
-    trails = [np.maximum(y - span, 0) for y in bands]
+    window = np.zeros((2, width), np.int64)  # sums of pixels and squares, row -1's
+    for r in range(0, span, _BAND):
+        rows = arr[r : min(r + _BAND, span)]
+        window[0] += rows.sum(axis=0, dtype=np.int64)
+        window[1] += np.square(rows, dtype=np.int64).sum(axis=0)
     columns = _window_sums(np.ones(width, np.int64), reach)  # the pixels per window, one row's
     binary = np.empty(arr.shape, dtype=bool)
-    for y, lead, trail, upto_lead, upto_trail in zip(
-        bands, leads, trails, _prefix_rows(arr, leads), _prefix_rows(arr, trails)
-    ):
-        upto_lead -= upto_trail  # the windows' column sums; its generator is done with it
-        total, squares = _window_sums(upto_lead, reach)
-        area = (lead - trail)[:, None] * columns
+    for top in range(0, height, _BAND):
+        bottom = min(top + _BAND, height)
+        # row y's window gains row y + span and loses row y - span - 1, where
+        # those exist: the first band rows gain, the last ones lose
+        enter = arr[top + span : bottom + span]
+        leave = arr[max(top - span - 1, 0) : max(bottom - span - 1, 0)]
+        n = bottom - top
+        step = np.zeros((2, n, width), np.int64)
+        step[:, 0] = window
+        step[0, : len(enter)] += enter
+        step[1, : len(enter)] += np.square(enter, dtype=np.int64)
+        step[0, n - len(leave) :] -= leave
+        step[1, n - len(leave) :] -= np.square(leave, dtype=np.int64)
+        np.cumsum(step, axis=1, out=step)
+        window = step[:, -1].copy()
+        total, squares = _window_sums(step, reach)
+        y = np.arange(top, bottom)
+        area = (np.minimum(y + span + 1, height) - np.maximum(y - span, 0))[:, None] * columns
         mu = total / area
         var = squares / area - mu * mu
         with np.errstate(over="ignore"):  # a huge k gives +-inf: no/all foreground
             thresh = mu + params.k * np.sqrt(np.clip(var, 0.0, None))
-        rows = slice(y[0], y[-1] + 1)
-        np.greater_equal(arr[rows], thresh, out=binary[rows])
+        np.greater_equal(arr[top:bottom], thresh, out=binary[top:bottom])
     return binary

@@ -110,6 +110,14 @@ def border_disagreements(c, border, t_ref):
     return sum((int(p) >= c) != (int(p) >= t_ref) for p in border)
 
 
+def psnr_exact(original, binary):
+    """PSNR from the squared error summed pixel by pixel in Python ints."""
+    pixels = np.asarray(original).ravel().tolist()
+    mapped = [255 if b else 0 for b in np.asarray(binary).ravel().tolist()]
+    sse = sum((p - m) ** 2 for p, m in zip(pixels, mapped))
+    return math.inf if sse == 0 else 10.0 * math.log10(255.0**2 / (sse / len(pixels)))
+
+
 def variance_two_pass(img):
     """Population variance via explicit two-pass summation."""
     values = [float(v) for v in np.asarray(img).ravel()]

@@ -222,6 +222,19 @@ class TestReadPgmP2:
         # the 256 KiB image plus one chunk's token arrays, not ten copies of the file
         assert peak <= 1.5 * 2**20
 
+    @pytest.mark.parametrize("word", [b"x", b"x "], ids=["one_word", "spaced"])
+    def test_long_comment_is_skipped_uncopied(self, word):
+        data = b"P2 2 1 255\n1 #" + word * (20_000_000 // len(word)) + b"\n2\n"
+        tracemalloc.start()
+        try:
+            got = read_pgm(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tolist() == [[1, 2]]
+        # no chunk that holds a comment is longer than _P2_CHUNK bytes
+        assert peak <= 2**20
+
     def test_leading_zeros(self):
         assert read_pgm(b"P2 3 1 255 0007 0000000255 000").tolist() == [[7, 255, 0]]
 

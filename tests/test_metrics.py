@@ -13,7 +13,7 @@ from labt.metrics import (
     psnr,
     sweep,
 )
-from oracles import border_disagreements
+from oracles import border_disagreements, psnr_exact
 
 # 2x4 image, one 2x2 block above another: the top block picks threshold 100,
 # the bottom block's border row contains a pixel equal to it. Paper mode
@@ -54,6 +54,15 @@ class TestPsnr:
         gray_a = np.where(mask_a, 255, 0).astype(np.uint8)
         gray_b = np.where(mask_b, 255, 0).astype(np.uint8)
         assert psnr(gray_a, mask_b) == pytest.approx(psnr(gray_b, mask_a))
+
+    def test_matches_python_int_oracle(self, rng):
+        # the mean squared error rounds once, from its exact integer sum
+        for shape in [(1, 1), (3, 7), (40, 33), (128, 96)]:
+            img = rng.integers(0, 256, shape, dtype=np.uint8)
+            masks = [rng.random(shape) < p for p in (0.0, 0.3, 0.7, 1.0)]
+            masks.append(rng.integers(-2, 3, shape))  # any nonzero value is foreground
+            for mask in masks:
+                assert psnr(img, mask) == psnr_exact(img, mask)
 
 
 class TestContinuityViolations:
