@@ -29,6 +29,7 @@ from .thresholders import Otsu, ThresholdMethod, select_threshold
 
 _MODES = ("strict", "paper")
 _TABLE_BYTES = 1 << 18  # the scan lays out border lines about this many bytes at a time
+_BAND_ELEMENTS = 1 << 16  # the base stage counts about this many bins or pixels per call
 
 
 @dataclass(frozen=True)
@@ -129,19 +130,23 @@ def choose_grid(arr: np.ndarray, cfg: LabtConfig = LabtConfig()) -> BlockGrid:
 def _base_thresholds(blocks, method: ThresholdMethod):
     """Base stage: threshold each block of the ``(rows, bh, cols, bw)`` view.
 
-    One ``np.bincount`` per block row counts each pixel once, and one
-    :func:`select_threshold` call thresholds the row. Returns the
-    ``(rows, cols)`` thresholds and the padded image's histogram.
+    The block rows go in bands of about ``_BAND_ELEMENTS`` bins or pixels,
+    at least one row: one ``np.bincount`` per band counts each pixel once,
+    and one :func:`select_threshold` call thresholds the band's blocks.
+    Returns the ``(rows, cols)`` thresholds and the padded image's histogram.
     """
-    rows, _, cols, _ = blocks.shape
+    rows, bh, cols, bw = blocks.shape
+    band = max(1, _BAND_ELEMENTS // (cols * max(256, bh * bw)))
     base = np.empty((rows, cols), dtype=np.int32)
     page = np.zeros(256, dtype=np.int64)
     # The narrowest type that holds every bin index; the counts are int64 anyway.
-    bin_base = np.arange(0, cols * 256, 256, dtype=np.min_scalar_type(cols * 256 - 1))[:, None]
-    for r, pixels in enumerate(blocks):
-        band = (bin_base + pixels).ravel()
-        hists = np.bincount(band, minlength=cols * 256).reshape(cols, 256)
-        base[r] = select_threshold(method, hists)
+    bins = band * cols * 256
+    bin_base = np.arange(0, bins, 256, dtype=np.min_scalar_type(bins - 1)).reshape(band, 1, cols, 1)
+    for r in range(0, rows, band):
+        pixels = blocks[r : r + band]
+        index = bin_base[: len(pixels)]
+        hists = np.bincount((index + pixels).ravel(), minlength=index.size * 256).reshape(-1, 256)
+        base[r : r + band] = select_threshold(method, hists).reshape(-1, cols)
         page += hists.sum(axis=0)
     return base, page
 
@@ -189,10 +194,12 @@ def _scan(blocks, base, seeds, mode: str):
     del diag
     pos = np.empty(n, np.int32)
     pos[order] = np.arange(n, dtype=np.int32)
-    b = base.reshape(-1)[order]
-    fin = np.empty(n, base.dtype)
+    # Thresholds and ranges lie in 0..255: the scan keeps them as uint8, the
+    # border lines' type, so that no op converts.
+    b = base.reshape(-1)[order].astype(np.uint8)
+    fin = np.empty(n, np.uint8)
     fin[:k] = seeds
-    range_lo, range_hi = np.zeros(n, np.int32), np.full(n, 255, np.int32)
+    range_lo, range_hi = np.zeros(n, np.uint8), np.full(n, 255, np.uint8)
     disjoint = np.zeros(n, dtype=bool)
     strict = mode == "strict"
     piece = max(1, _TABLE_BYTES // (2 * max(lines.shape[1], lines.shape[3])))  # blocks per table piece
@@ -208,13 +215,13 @@ def _scan(blocks, base, seeds, mode: str):
         # paper mode lets values equal to t flip, so they cap nothing. 255 is
         # never below t, so its x + 1 wrapping to 0 is harmless.
         lo2 = ((x + 1) * below).max(axis=0)
-        hi2 = np.where(below if strict else x <= t, 255, x).min(axis=0)
+        hi2 = np.maximum(x, (below if strict else x <= t) * np.uint8(255)).min(axis=0)
         lo, hi, applied = range_lo[s:e], range_hi[s:e], fin[s:e]
         np.maximum(*lo2, out=lo)
         np.minimum(*hi2, out=hi)
         np.minimum(np.maximum(b[s:e], lo), hi, out=applied)
         empty = np.greater(lo, hi, out=disjoint[s:e])
-        if empty.any():
+        if np.count_nonzero(empty):
             # Disjoint ranges: of the up and left ranges' ends and the two
             # neighbor thresholds, pick the one that mislabels the fewest
             # border pixels, then the one nearest the base threshold, then the
@@ -226,11 +233,13 @@ def _scan(blocks, base, seeds, mode: str):
             # Candidates and distances lie in 0..255, so the key orders
             # (disagreements, distance, value) lexicographically, and its
             # low 9 bits are the value.
-            best = ((bad * 512 + abs(cand - b[s:e])) * 512 + cand).min(axis=0) & 511
+            dist = abs(np.subtract(cand, b[s:e], dtype=np.int16))
+            best = (((bad * 512 + dist) * 512 + cand).min(axis=0) & 511).astype(np.uint8)
             for a in (applied, lo, hi):
                 np.copyto(a, best, where=empty)
     del order, b  # freed before the results are gathered
-    return tuple(a[pos].reshape(base.shape) for a in (fin, range_lo, range_hi, disjoint))
+    arrays, types = (fin, range_lo, range_hi, disjoint), (base.dtype, np.int32, np.int32, bool)
+    return tuple(a[pos].astype(d, copy=False).reshape(base.shape) for a, d in zip(arrays, types))
 
 
 def _run_oriented(img, cfg: LabtConfig, orients) -> tuple[LabtResult, ...]:

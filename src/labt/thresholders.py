@@ -55,6 +55,7 @@ class MeanK:
 ThresholdMethod = Otsu | Adcdf | MeanK
 _BAND = 32  # image rows per Niblack band
 _MAX_TOTAL = np.iinfo(np.int64).max // 255**2  # sums of count * level**2 fit int64
+_EXACT_TOTAL = math.isqrt(np.iinfo(np.int64).max // 255)  # Otsu's S*w0 - N*s0 fits int64
 
 
 @dataclass(frozen=True)
@@ -76,26 +77,34 @@ def _otsu_thresholds(counts: np.ndarray) -> np.ndarray:
     # Split t (1..255) puts levels < t in class 0. Only t with counts[t-1] > 0
     # and pixels at or above t can win, smallest t on ties. So only levels
     # occupied in some row are scored, as t = levels[j] + 1: empty columns add
-    # nothing to the cumsums, so each float score is the same bit for bit, and
-    # within ~1e-13 of exact as mu1 - mu0 >= 1; near-best ties are rechecked.
+    # nothing to the cumsums. With N, S a row's count and sum and w0, s0 the
+    # cumsums, a split scores (S*w0 - N*s0)**2 / (w0*(N - w0)), N**2 times
+    # the between-class variance. The difference is exact, in int64 while
+    # 255 * N**2 fits and in Python ints past that; squaring and dividing in
+    # float64 round a few times, so the score is within ~1e-15 of exact and
+    # near-best ties are rechecked in integers.
     levels = np.flatnonzero(counts.any(axis=0))
     if levels.size < 2:  # no split: the single-level rule picks every row
         return np.zeros(len(counts), np.int64)
     counts = counts[:, levels]
     cum = np.cumsum(counts, axis=1)
     cum_sum = np.cumsum(counts * levels, axis=1)
-    w0, s0 = cum[:, :-1], cum_sum[:, :-1]
-    w1, s1 = cum[:, -1:] - w0, cum_sum[:, -1:] - s0
-    score = w0 * (w1 * (s1 / np.maximum(w1, 1) - s0 / np.maximum(w0, 1)) ** 2)
-    score = np.where((counts[:, :-1] > 0) & (w1 > 0), score, -1.0)
-    near = score >= score.max(axis=1, keepdims=True) * (1 - 1e-9)
+    if cum[:, -1].max() > _EXACT_TOTAL:
+        cum, cum_sum = cum.astype(object), cum_sum.astype(object)
+    w0, s0, n, s = cum[:, :-1], cum_sum[:, :-1], cum[:, -1:], cum_sum[:, -1:]
+    diff = (s * w0 - n * s0).astype(np.float64)
+    den = (w0 * (n - w0)).astype(np.float64)  # 0 where a class is empty
+    # an empty level would tie its predecessor: -1 keeps it out of the ties
+    score = np.where(counts[:, :-1] > 0, diff * diff / np.maximum(den, 1), -1.0)
+    near = score >= score.max(axis=1, keepdims=True) * (1 - 1e-13)
     best = levels[near.argmax(axis=1)] + 1
     for row in np.flatnonzero(near.sum(axis=1) > 1):
-        # (s0*w1 - s1*w0)^2 / (w0*w1) compares by cross-multiplication.
+        # the exact scores compare by cross-multiplication
+        total, total_sum = int(n[row, 0]), int(s[row, 0])
         best_num, best_den = -1, 1
         for j in np.flatnonzero(near[row]).tolist():
-            a0, b0, a1, b1 = (int(x[row, j]) for x in (w0, s0, w1, s1))
-            num, den = (b0 * a1 - b1 * a0) ** 2, a0 * a1
+            a0, b0 = int(w0[row, j]), int(s0[row, j])
+            num, den = (total_sum * a0 - total * b0) ** 2, a0 * (total - a0)
             if num * best_den > best_num * den:
                 best_num, best_den, best[row] = num, den, levels[j] + 1
     return best
@@ -112,7 +121,7 @@ def select_threshold(method: ThresholdMethod, hist: np.ndarray) -> int | np.ndar
     (~1.4e14), where the int64 sums could wrap, raise ValueError.
     """
     counts = np.asarray(hist, dtype=np.int64)
-    if counts.shape[-1:] != (256,) or counts.ndim > 2 or (counts < 0).any():
+    if counts.shape[-1:] != (256,) or counts.ndim > 2 or counts.min(initial=0) < 0:
         raise ValueError("histogram must be 256 non-negative counts")
     stack = counts.reshape(-1, 256)
     top = stack.argmax(axis=1)

@@ -317,10 +317,20 @@ class TestRunLabt:
 
         monkeypatch.setattr(labt.engine, "select_threshold", counting)
         monkeypatch.setattr(labt.image_core, "histogram", forbidden)
-        img = rng.integers(0, 256, (50, 70), dtype=np.uint8)
-        res = run_labt(img, LabtConfig(block_w=8, block_h=16, seed_global=seed_global))
-        rows, cols = res.grid.rows, res.grid.cols
-        assert calls == [(cols, 256)] * rows + [(256,)] * seed_global
+        # A band holds max(1, 2**16 // (cols * max(256, bh * bw))) block rows.
+        # 4 x 9 blocks of 8x16 fit one band of up to 28 rows; 5 x 64 blocks of
+        # 8x8 take bands of 4 rows, the last partial; 3 x 263 blocks of 8x8
+        # take one band per row.
+        cases = [
+            ((50, 70), (8, 16), [(36, 256)]),
+            ((40, 512), (8, 8), [(256, 256), (64, 256)]),
+            ((20, 2100), (8, 8), [(263, 256)] * 3),
+        ]
+        for shape, (bw, bh), bands in cases:
+            calls.clear()
+            img = rng.integers(0, 256, shape, dtype=np.uint8)
+            run_labt(img, LabtConfig(block_w=bw, block_h=bh, seed_global=seed_global))
+            assert calls == bands + [(256,)] * seed_global
 
     def test_constant_image(self):
         img = np.full((20, 20), 90, np.uint8)
@@ -579,6 +589,31 @@ class TestMatchesRasterReference:
         res = run_labt(img, cfg)
         assert_same_result(res, run_labt_raster(img, cfg))
         assert_run_invariants(res, cfg)
+
+    @settings(max_examples=60)
+    @given(
+        st.sampled_from([(2, 2), (5, 3), (8, 8), (16, 12)]),
+        # a band holds 2**16 // (cols * 256) block rows, at least one: 256, 28,
+        # 6, 4, 1 and 1 of them here, so that rows up to 13 make one band,
+        # several with a partial last one, or one band per row
+        st.sampled_from([1, 9, 40, 64, 129, 200]),
+        st.integers(1, 13),
+        st.tuples(st.integers(0, 15), st.integers(0, 15)),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([2, 3, 256]),
+        METHODS,
+        st.sampled_from(["strict", "paper"]),
+        st.booleans(),
+    )
+    def test_bands_of_block_rows(self, block, cols, rows, cut, seed, levels, method, mode, seed_global):
+        (bw, bh), gen = block, np.random.default_rng(seed)
+        h, w = max(2, rows * bh - cut[0] % bh), max(2, cols * bw - cut[1] % bw)
+        # each block row draws from its own few levels, so bands differ
+        palette = gen.integers(0, 256, (-(-h // bh), levels))
+        img = palette[np.arange(h)[:, None] // bh, gen.integers(0, levels, (h, w))].astype(np.uint8)
+        cfg = LabtConfig(method, bw, bh, mode, seed_global)
+        res = run_labt(img, cfg)
+        assert_same_result(res, run_labt_raster(img, cfg))
 
     @pytest.mark.parametrize(
         "img",

@@ -64,6 +64,14 @@ class TestPsnr:
             for mask in masks:
                 assert psnr(img, mask) == psnr_exact(img, mask)
 
+    def test_bands_of_rows_match_python_int_oracle(self, rng):
+        # psnr counts about 2**17 pixels at a time: one row each of a wide
+        # image, several rows each of a narrow one, the last band partial
+        for shape in [(3, 140000), (700, 300)]:
+            img = rng.integers(0, 256, shape, dtype=np.uint8)
+            mask = rng.random(shape) < np.linspace(0, 1, shape[0])[:, None]
+            assert psnr(img, mask) == psnr_exact(img, mask)
+
 
 class TestContinuityViolations:
     def test_strict_run_zero(self, rng):

@@ -138,17 +138,18 @@ class TestMatchesThreeRuns:
         assert_array_equal(ms.combined, scans[0] | scans[1] | scans[2])
 
     @pytest.mark.parametrize(
-        "shape, block, grid, base_stages",
+        "shape, block, grid, bands, base_stages",
         [
-            ((48, 64), 16, (3, 4), 1),
-            ((45, 61), 16, (3, 4), 3),
-            ((8, 40), 8, (1, 5), 1),
-            ((40, 8), 8, (5, 1), 1),
-            ((43, 8), 8, (6, 1), 3),
+            ((48, 64), 16, (3, 4), [(12, 256)], 1),
+            ((45, 61), 16, (3, 4), [(12, 256)], 3),
+            ((8, 40), 8, (1, 5), [(5, 256)], 1),
+            ((40, 8), 8, (5, 1), [(5, 256)], 1),
+            ((43, 8), 8, (6, 1), [(6, 256)], 3),
+            ((16, 2104), 8, (2, 263), [(263, 256)] * 2, 1),
         ],
-        ids=["aligned", "padded", "one_row", "one_column", "one_column_padded"],
+        ids=["aligned", "padded", "one_row", "one_column", "one_column_padded", "one_band_per_row"],
     )
-    def test_one_wavefront_for_three_scans(self, rng, monkeypatch, shape, block, grid, base_stages):
+    def test_one_wavefront_for_three_scans(self, rng, monkeypatch, shape, block, grid, bands, base_stages):
         calls = {"_scan": [], "select_threshold": []}
         for name, log in calls.items():
             original = getattr(labt.engine, name)
@@ -159,6 +160,8 @@ class TestMatchesThreeRuns:
         assert (ms.runs[0].grid.rows, ms.runs[0].grid.cols) == grid
         # one scan takes the base thresholds of all three grids
         assert [a[1].shape for a in calls["_scan"]] == [(3, rows, cols)]
-        # an aligned grid shares one base stage (one call per block row) and
-        # one global seed; a padded one runs both per orientation
-        assert len(calls["select_threshold"]) == base_stages * (rows + 1)
+        # an aligned grid shares one base stage and one global seed; a padded
+        # one runs both per orientation. A base stage makes one selection per
+        # band of max(1, 2**16 // (cols * 256)) block rows: one band here, but
+        # a row each when 263 columns are too wide to share one.
+        assert [a[1].shape for a in calls["select_threshold"]] == bands * base_stages + [(256,)] * base_stages

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from unittest import mock
 
@@ -195,6 +196,41 @@ class TestBatchedSelection:
         stack[1, [10, 20, 30]] = 10**12
         assert select_threshold(Otsu(), stack).tolist() == [11, 11]
         assert otsu_exhaustive(stack[1]) == 11
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_otsu_rows_at_the_int64_bound(self, rng, offset):
+        # Otsu's S*w0 - N*s0 is exact in int64 while 255 * N**2 fits; a
+        # stack with a row past that total scores in Python ints
+        total = math.isqrt((2**63 - 1) // 255) + offset
+        stack = np.zeros((8, 256), np.int64)
+        stack[0, [254, 255]] = total - 1, 1  # S*w0 at split 255 is ~254 N**2
+        stack[1, [0, 255]] = 1, total - 1
+        for row in stack[2:7]:
+            levels = rng.choice(256, int(rng.integers(2, 7)), replace=False)
+            cuts = np.sort(rng.integers(1, total, len(levels) - 1))
+            row[levels] = np.diff(np.concatenate(([0], cuts, [total])))
+        stack[7, [1, 2, 3]] = 1  # a small row in the same stack
+        assert stack[:7].sum(axis=1).tolist() == [total] * 7
+        assert select_threshold(Otsu(), stack).tolist() == [otsu_exhaustive(row) for row in stack]
+
+    def test_otsu_rows_of_10_12_counts(self, rng):
+        stack = np.zeros((10, 256), np.int64)
+        for row in stack[:8]:
+            levels = rng.choice(256, int(rng.integers(2, 9)), replace=False)
+            row[levels] = rng.integers(10**12, 2 * 10**12, len(levels))
+        # splits 11 and 21 differ by about 2e-13 and 4e-15 of their scores
+        stack[8, [10, 20, 30]] = 10**12, 10**12, 10**12 + 1
+        stack[9, [10, 20, 30]] = 4 * 10**13, 4 * 10**13, 4 * 10**13 + 1
+        assert select_threshold(Otsu(), stack).tolist() == [otsu_exhaustive(row) for row in stack]
+
+    def test_otsu_exact_ties_that_float_scores_misorder(self):
+        # splits 3 and 17, and 18 and 27, tie exactly, but the later split's
+        # float score is the larger: only the integer recheck picks the first
+        stack = np.zeros((2, 256), np.int64)
+        stack[0, [2, 16, 37]] = np.array([6, 10, 2]) * 1000003
+        stack[1, [17, 26, 32]] = np.array([1, 2, 6]) * 12345
+        assert [otsu_exhaustive(row) for row in stack] == [3, 18]
+        assert select_threshold(Otsu(), stack).tolist() == [3, 18]
 
     def test_stack_validation(self):
         good = hist_of([1, 2, 3])
