@@ -273,7 +273,8 @@ def main(argv=None) -> int:
     try:
         return args.run(args)
     except (OSError, ValueError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a bare MemoryError, as re and bytes raise it, has no text
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -19,10 +19,15 @@ import numpy as np
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 
-# Separators (whitespace, or "#" comments up to a CR or LF), then one header
-# token: the bytes up to the next whitespace or "#". In a bytes pattern, \s
-# matches exactly the six _WHITESPACE bytes.
-_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*([^\s#]*)")
+# Separators: whitespace, and "#" comments up to a CR or LF. re keeps state
+# for each repetition of a group, so a match takes at most 256 comments, and
+# _skip repeats it. In a bytes pattern, \s matches exactly the six
+# _WHITESPACE bytes.
+_SEPARATOR = re.compile(rb"\s*(?:#[^\r\n]*\s*){0,256}")
+
+# A token: the bytes up to the next whitespace or "#". Group 1 is the digit
+# run after its leading zeros; a number's group 1 ends where the token does.
+_TOKEN = re.compile(rb"0*([0-9]*)[^\s#]*")
 
 # P2 samples are parsed in chunks of about this many payload bytes
 _P2_CHUNK = 1 << 16
@@ -59,29 +64,27 @@ def read_pgm(data: bytes) -> np.ndarray:
     between samples as well; a ``#`` also ends the token it follows. P2
     bytes past the width*height-th sample are ignored, whatever they hold.
     Only maxval <= 255 is accepted; samples are kept as stored, without
-    rescaling. Malformed data, including a numeric token longer than
-    ``int()`` converts, raises :class:`PgmError`.
+    rescaling. Malformed data, including a numeric token of more than 64
+    digits, raises :class:`PgmError`.
     """
     buf = bytes(data)
     pos = 0
 
-    def token(what: str) -> bytes:
+    def token(what: str) -> tuple[int, int]:
         nonlocal pos
-        match = _HEADER_TOKEN.match(buf, pos)
-        pos = match.end()
-        if not match[1]:
+        start = _skip(buf, pos)
+        pos = _TOKEN.match(buf, start).end()
+        if pos == start:
             raise PgmError(f"truncated header: missing {what}")
-        return match[1]
+        return start, pos
 
     def integer(what: str) -> int:
-        tok = token(what)
-        if not tok.isdigit():
-            raise PgmError(f"non-numeric {what} token {tok!r}")
-        return _parse_int(tok, what)
+        return _parse_int(buf, *token(what), what)
 
-    magic = token("magic number")
+    start, end = token("magic number")
+    magic = buf[start : min(end, start + 3)]  # three bytes tell P2 and P5 from longer tokens
     if magic not in (b"P2", b"P5"):
-        raise PgmError(f"malformed magic number {magic!r}")
+        raise PgmError(f"malformed magic number {_quote(buf, start, end)}")
     width = integer("width")
     height = integer("height")
     maxval = integer("maxval")
@@ -117,14 +120,17 @@ def read_pgm(data: bytes) -> np.ndarray:
     samples = np.empty(count, dtype=np.uint8)
     done = 0
     while done < count and pos < len(buf):
-        pos = _HEADER_TOKEN.match(buf, pos).start(1)  # past separators and comments, uncopied
+        pos = _skip(buf, pos)
         stop = _p2_cut(buf, pos)
-        chunk = buf[pos:stop]
-        # A "#" ends a token, so turning each comment into one space moves no
-        # token boundary.
-        if b"#" in chunk:
-            chunk = re.sub(rb"#[^\r\n]*", b" ", chunk)
-        values = _p2_values(chunk, count - done, maxval)
+        if stop - pos > _P2_CHUNK:  # one token, judged in place
+            values = [_sample_value(buf, pos, stop, maxval)]
+        else:
+            chunk = buf[pos:stop]
+            # A "#" ends a token, so turning each comment into one space moves
+            # no token boundary.
+            if b"#" in chunk:
+                chunk = re.sub(rb"#[^\r\n]*", b" ", chunk)
+            values = _p2_values(chunk, count - done, maxval)
         samples[done : done + len(values)] = values
         done, pos = done + len(values), stop
     if done < count:
@@ -132,21 +138,28 @@ def read_pgm(data: bytes) -> np.ndarray:
     return samples.reshape(height, width)
 
 
+def _skip(buf: bytes, pos: int) -> int:
+    """The position past the separators and comments that start at ``pos``."""
+    while (end := _SEPARATOR.match(buf, pos).end()) > pos:
+        pos = end
+    return pos
+
+
 def _p2_cut(buf: bytes, start: int) -> int:
     """End of the P2 chunk whose first token starts at ``start``.
 
     The chunk ends just past its last separator within ``_P2_CHUNK`` bytes,
     or at the end of its first token when there is none, so no token spans
-    two chunks. A chunk that holds a "#" ends past its last line end, so
-    each comment ends inside its chunk, or, with no line end, just before
-    the "#", which ends a token. So no chunk longer than ``_P2_CHUNK`` bytes
-    holds a comment.
+    two chunks, and a chunk longer than ``_P2_CHUNK`` bytes is one token. A
+    chunk that holds a "#" ends past its last line end, so each comment ends
+    inside its chunk, or, with no line end, just before the "#", which ends
+    a token.
     """
     if start + _P2_CHUNK >= len(buf):
         return len(buf)
     cut = max(buf.rfind(c, start, start + _P2_CHUNK) for c in _WHITESPACE) + 1
     if not cut:
-        cut = _HEADER_TOKEN.match(buf, start).end()
+        cut = _TOKEN.match(buf, start).end()
     hash_at = buf.find(b"#", start, cut)
     if hash_at >= 0:
         cut = max(buf.rfind(b"\n", start, cut), buf.rfind(b"\r", start, cut)) + 1 or hash_at
@@ -182,29 +195,45 @@ def _p2_values(chunk: bytes, limit: int, maxval: int) -> np.ndarray:
     nonzero_before_last3 = (
         (kind[:m] == 2) & in_token[1 : m + 1] & in_token[2 : m + 2] & in_token[3 : m + 3]
     )
-    for p in (_first(kind[:stop] == 3), _first(nonzero_before_last3)):
-        if p is not None:
-            bad[np.searchsorted(ends, p)] = True
-    k = _first(bad)
-    if k is not None:
-        tok = chunk[starts[k] : ends[k]]
-        if not tok.isdigit():
-            raise PgmError(f"non-numeric sample token {tok!r}")
-        raise PgmError(f"sample value {_parse_int(tok, 'sample')} exceeds maxval {maxval}")
+    for mask in (kind[:stop] == 3, nonzero_before_last3):
+        if mask.any():
+            bad[np.searchsorted(ends, mask.argmax())] = True
+    if bad.any():
+        k = bad.argmax()
+        _sample_value(chunk, starts[k], ends[k], maxval)  # raises the token's PgmError
     return values
 
 
-def _parse_int(tok: bytes, what: str) -> int:
-    """The value of a digit token; PgmError if int() refuses its length."""
-    try:
-        return int(tok)
-    except ValueError:  # Python's limit on the digits of an int string
-        raise PgmError(f"{what} token of {len(tok)} digits is too long") from None
+def _sample_value(buf: bytes, start: int, end: int, maxval: int) -> int:
+    """The value of the P2 sample token ``buf[start:end]``, judged in place.
+
+    A valid token is leading zeros and then at most three digits, so no more
+    than its last three bytes are converted. A bad one raises PgmError.
+    """
+    number = _TOKEN.match(buf, start, end)
+    if number.end(1) == end and end - number.start(1) <= 3:
+        value = int(buf[max(start, end - 3) : end])
+    else:
+        value = _parse_int(buf, start, end, "sample")  # past 999, if it is a number
+    if value > maxval:
+        raise PgmError(f"sample value {value} exceeds maxval {maxval}")
+    return value
 
 
-def _first(mask: np.ndarray) -> int | None:
-    """Index of the first True in a 1-D bool array, or None."""
-    return int(mask.argmax()) if mask.any() else None
+def _parse_int(buf: bytes, start: int, end: int, what: str) -> int:
+    """The value of the token ``buf[start:end]``, a number of at most 64 digits."""
+    if _TOKEN.match(buf, start, end).end(1) < end:
+        raise PgmError(f"non-numeric {what} token {_quote(buf, start, end)}")
+    if end - start > 64:  # int() takes 64 digits at any int_max_str_digits setting
+        raise PgmError(f"{what} token of {end - start} digits is too long")
+    return int(buf[start:end])
+
+
+def _quote(buf: bytes, start: int, end: int) -> str:
+    """The repr of the token ``buf[start:end]``, cut to 32 bytes and its length."""
+    if end - start <= 32:
+        return repr(buf[start:end])
+    return f"{buf[start : start + 32]!r}... ({end - start} bytes)"
 
 
 def write_pgm(img) -> bytes:

@@ -11,7 +11,8 @@ and :func:`run_labt_raster`, the original one-loop engine built on them. It
 still calls the library's grid and padding helpers, but shares no scan code
 with the engine; engine rewrites are checked against it field by field.
 :func:`read_pgm_loop` is the original PGM reader, which parses P2 samples
-one token at a time. :func:`scan_reference` is the engine's earlier scan,
+one token at a time, with the reader's later limits on number length and
+on quotes. :func:`scan_reference` is the engine's earlier scan,
 built on the batched range helpers :func:`batched_neighbor_range` and
 :func:`batched_resolve_empty`; the table-driven ``labt.engine._scan`` is
 checked against it array by array.
@@ -135,7 +136,8 @@ def read_pgm_loop(data: bytes) -> np.ndarray:
     """The original ``read_pgm``, which parses P2 samples one token at a time.
 
     Frozen as the reference for the whole-buffer P2 parser: arrays and
-    ``PgmError`` texts must match it on every input.
+    ``PgmError`` texts must match it on every input. Since then, a number
+    has at most 64 digits, and a quote shows at most 32 bytes of a token.
     """
     buf = bytes(data)
     pos = 0
@@ -161,15 +163,22 @@ def read_pgm_loop(data: bytes) -> np.ndarray:
             raise PgmError(f"truncated header: missing {what}")
         return buf[start:pos]
 
-    def integer(what: str) -> int:
-        tok = token(what)
+    def quote(tok: bytes) -> str:
+        return repr(tok) if len(tok) <= 32 else f"{tok[:32]!r}... ({len(tok)} bytes)"
+
+    def number(tok: bytes, what: str) -> int:
         if not tok.isdigit():
-            raise PgmError(f"non-numeric {what} token {tok!r}")
+            raise PgmError(f"non-numeric {what} token {quote(tok)}")
+        if len(tok) > 64:
+            raise PgmError(f"{what} token of {len(tok)} digits is too long")
         return int(tok)
+
+    def integer(what: str) -> int:
+        return number(token(what), what)
 
     magic = token("magic number")
     if magic not in (b"P2", b"P5"):
-        raise PgmError(f"malformed magic number {magic!r}")
+        raise PgmError(f"malformed magic number {quote(magic)}")
     width = integer("width")
     height = integer("height")
     maxval = integer("maxval")
@@ -213,9 +222,11 @@ def read_pgm_loop(data: bytes) -> np.ndarray:
             raise PgmError(
                 f"truncated payload: expected {count} samples, got {i}"
             ) from None
-        if not tok.isdigit():
-            raise PgmError(f"non-numeric sample token {tok!r}")
-        value = int(tok)
+        significant = tok.lstrip(b"0")
+        if tok.isdigit() and len(significant) <= 3:  # at any number of leading zeros
+            value = int(significant or b"0")
+        else:
+            value = number(tok, "sample")
         if value > maxval:
             raise PgmError(f"sample value {value} exceeds maxval {maxval}")
         samples[i] = value

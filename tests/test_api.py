@@ -107,3 +107,68 @@ def test_entry_point_peaks_within_its_returns_plus_a_page_budget(a4, name):
         tracemalloc.stop()
     # nothing page-sized beyond what is returned, whatever the page holds
     assert peak <= returned_bytes(out) + 2.5 * a4["page"].nbytes
+
+
+# Hostile PGM bytes of about n bytes each: long separator runs, many or long
+# comments, and long tokens in the header and the payload. Each maps to its
+# array or to its PgmError text.
+HOSTILE_PGM = {
+    "header_spaces": (lambda n: b"P2" + b" " * n + b"2 1 255\n1 2\n", lambda n: [[1, 2]]),
+    "payload_spaces": (lambda n: b"P2 2 1 255\n1" + b" " * n + b"2\n", lambda n: [[1, 2]]),
+    "header_comment_lines": (
+        lambda n: b"P2\n" + b"#\n" * (n // 2) + b"2 1 255\n1 2\n",
+        lambda n: [[1, 2]],
+    ),
+    "payload_comment_lines": (
+        lambda n: b"P2 2 1 255\n1\n" + b"#\n" * (n // 2) + b"2\n",
+        lambda n: [[1, 2]],
+    ),
+    "header_long_comment": (lambda n: b"P2 #" + b"x" * n + b"\n2 1 255 1 2", lambda n: [[1, 2]]),
+    "payload_long_comment": (lambda n: b"P2 2 1 255\n1 #" + b"x" * n + b"\n2", lambda n: [[1, 2]]),
+    "zeros_then_1": (lambda n: b"P2 2 1 255\n" + b"0" * n + b"1 2\n", lambda n: [[1, 2]]),
+    "ones": (
+        lambda n: b"P2 2 1 255\n" + b"1" * n + b" 2\n",
+        lambda n: f"sample token of {n} digits is too long",
+    ),
+    "non_digit_sample": (
+        lambda n: b"P2 2 1 255\n" + b"x" * n + b" 2\n",
+        lambda n: f"non-numeric sample token b'{'x' * 32}'... ({n} bytes)",
+    ),
+    "magic": (
+        lambda n: b"P" + b"5" * n,
+        lambda n: f"malformed magic number b'P{'5' * 31}'... ({n + 1} bytes)",
+    ),
+    "non_digit_width": (
+        lambda n: b"P2 " + b"x" * n + b" 1 255 0",
+        lambda n: f"non-numeric width token b'{'x' * 32}'... ({n} bytes)",
+    ),
+    "width_digits": (
+        lambda n: b"P2 " + b"9" * n + b" 1 255 0",
+        lambda n: f"width token of {n} digits is too long",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", HOSTILE_PGM)
+def test_hostile_pgm_costs_bounded_memory_and_message(name):
+    build, want = HOSTILE_PGM[name]
+    peaks = []
+    for n in (2_000_000, 20_000_000):
+        data = build(n)
+        tracemalloc.start()
+        try:
+            try:
+                got = labt.read_pgm(data)
+            except labt.PgmError as exc:
+                got = str(exc)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        del data
+        if isinstance(got, str):
+            assert got == want(n) and len(got) <= 256
+        else:
+            assert got.tolist() == want(n)
+        assert peaks[-1] <= 8 * 2**20 + returned_bytes(got)
+    # the cost of a tenfold input stays put: bounded, not proportional
+    assert abs(peaks[1] - peaks[0]) < 2**20

@@ -236,6 +236,27 @@ class TestBinarize:
         assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_bare_memory_error_is_named(self, doc_image, tmp_path, capsys, monkeypatch):
+        # re and bytes raise MemoryError() without text
+        def unallocatable(img, cfg):
+            raise MemoryError()
+
+        monkeypatch.setattr("labt.cli.run_labt", unallocatable)
+        inp, _ = doc_image
+        out = tmp_path / "o.pgm"
+        assert main(["binarize", str(inp), str(out)]) == 1
+        assert capsys.readouterr().err == "error: MemoryError\n"
+        assert not out.exists()
+
+    def test_long_magic_token_fails_with_one_short_line(self, tmp_path, capsys):
+        bad, out = tmp_path / "bad.pgm", tmp_path / "o.pgm"
+        bad.write_bytes(b"P" + b"5" * 20_000_000)
+        assert main(["binarize", str(bad), str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed magic number b'P555")
+        assert err.count("\n") == 1 and len(err) <= 257
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "block, capped",
         [
