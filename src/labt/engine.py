@@ -25,7 +25,7 @@ from numbers import Integral
 import numpy as np
 
 from .image_core import as_gray, variance
-from .thresholders import Otsu, ThresholdMethod, select_threshold
+from .thresholders import Otsu, ThresholdMethod, _select, select_threshold
 
 _MODES = ("strict", "paper")
 _TABLE_BYTES = 1 << 18  # the scan lays out border lines about this many bytes at a time
@@ -132,8 +132,10 @@ def _base_thresholds(blocks, method: ThresholdMethod):
 
     The block rows go in bands of about ``_BAND_ELEMENTS`` bins or pixels,
     at least one row: one ``np.bincount`` per band counts each pixel once,
-    and one :func:`select_threshold` call thresholds the band's blocks.
-    Returns the ``(rows, cols)`` thresholds and the padded image's histogram.
+    one column sum gives both the band's share of the page histogram and its
+    occupied levels, and one selection thresholds the band's blocks from
+    just those levels' counts, gathered level by level. Returns the
+    ``(rows, cols)`` thresholds and the padded image's histogram.
     """
     rows, bh, cols, bw = blocks.shape
     band = max(1, _BAND_ELEMENTS // (cols * max(256, bh * bw)))
@@ -146,8 +148,10 @@ def _base_thresholds(blocks, method: ThresholdMethod):
         pixels = blocks[r : r + band]
         index = bin_base[: len(pixels)]
         hists = np.bincount((index + pixels).ravel(), minlength=index.size * 256).reshape(-1, 256)
-        base[r : r + band] = select_threshold(method, hists).reshape(-1, cols)
-        page += hists.sum(axis=0)
+        column = hists.sum(axis=0)
+        levels = np.flatnonzero(column)
+        base[r : r + band] = _select(method, hists.T[levels], levels).reshape(-1, cols)
+        page += column
     return base, page
 
 

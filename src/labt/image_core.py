@@ -70,21 +70,22 @@ def read_pgm(data: bytes) -> np.ndarray:
     buf = bytes(data)
     pos = 0
 
-    def token(what: str) -> tuple[int, int]:
+    def token(what: str) -> re.Match:
         nonlocal pos
-        start = _skip(buf, pos)
-        pos = _TOKEN.match(buf, start).end()
-        if pos == start:
+        found = _TOKEN.match(buf, _skip(buf, pos))
+        if found.end() == found.start():
             raise PgmError(f"truncated header: missing {what}")
-        return start, pos
+        pos = found.end()
+        return found
 
     def integer(what: str) -> int:
-        return _parse_int(buf, *token(what), what)
+        return _parse_int(token(what), what)
 
-    start, end = token("magic number")
+    first = token("magic number")
+    start, end = first.span()
     magic = buf[start : min(end, start + 3)]  # three bytes tell P2 and P5 from longer tokens
     if magic not in (b"P2", b"P5"):
-        raise PgmError(f"malformed magic number {_quote(buf, start, end)}")
+        raise PgmError(f"malformed magic number {_quote(first)}")
     width = integer("width")
     height = integer("height")
     maxval = integer("maxval")
@@ -119,11 +120,11 @@ def read_pgm(data: bytes) -> np.ndarray:
         )
     samples = np.empty(count, dtype=np.uint8)
     done = 0
-    while done < count and pos < len(buf):
-        pos = _skip(buf, pos)
+    while done < count and (pos := _skip(buf, pos)) < len(buf):
         stop = _p2_cut(buf, pos)
-        if stop - pos > _P2_CHUNK:  # one token, judged in place
-            values = [_sample_value(buf, pos, stop, maxval)]
+        if stop == pos:  # no separator within a chunk: one token, judged in place
+            sample = _TOKEN.match(buf, pos)
+            values, stop = [_sample_value(sample, maxval)], sample.end()
         else:
             chunk = buf[pos:stop]
             # A "#" ends a token, so turning each comment into one space moves
@@ -149,17 +150,14 @@ def _p2_cut(buf: bytes, start: int) -> int:
     """End of the P2 chunk whose first token starts at ``start``.
 
     The chunk ends just past its last separator within ``_P2_CHUNK`` bytes,
-    or at the end of its first token when there is none, so no token spans
-    two chunks, and a chunk longer than ``_P2_CHUNK`` bytes is one token. A
-    chunk that holds a "#" ends past its last line end, so each comment ends
-    inside its chunk, or, with no line end, just before the "#", which ends
-    a token.
+    so no token spans two chunks; with no separator there it is empty, and
+    its first token is judged alone. A chunk that holds a "#" ends past its
+    last line end, so each comment ends inside its chunk, or, with no line
+    end, just before the "#", which ends a token.
     """
     if start + _P2_CHUNK >= len(buf):
         return len(buf)
-    cut = max(buf.rfind(c, start, start + _P2_CHUNK) for c in _WHITESPACE) + 1
-    if not cut:
-        cut = _TOKEN.match(buf, start).end()
+    cut = max(buf.rfind(c, start, start + _P2_CHUNK) for c in _WHITESPACE) + 1 or start
     hash_at = buf.find(b"#", start, cut)
     if hash_at >= 0:
         cut = max(buf.rfind(b"\n", start, cut), buf.rfind(b"\r", start, cut)) + 1 or hash_at
@@ -200,40 +198,42 @@ def _p2_values(chunk: bytes, limit: int, maxval: int) -> np.ndarray:
             bad[np.searchsorted(ends, mask.argmax())] = True
     if bad.any():
         k = bad.argmax()
-        _sample_value(chunk, starts[k], ends[k], maxval)  # raises the token's PgmError
+        _sample_value(_TOKEN.match(chunk, starts[k], ends[k]), maxval)  # raises the token's PgmError
     return values
 
 
-def _sample_value(buf: bytes, start: int, end: int, maxval: int) -> int:
-    """The value of the P2 sample token ``buf[start:end]``, judged in place.
+def _sample_value(sample: re.Match, maxval: int) -> int:
+    """The value of the P2 sample token that ``sample`` matches, judged in place.
 
     A valid token is leading zeros and then at most three digits, so no more
     than its last three bytes are converted. A bad one raises PgmError.
     """
-    number = _TOKEN.match(buf, start, end)
-    if number.end(1) == end and end - number.start(1) <= 3:
-        value = int(buf[max(start, end - 3) : end])
+    start, end = sample.span()
+    if sample.end(1) == end and end - sample.start(1) <= 3:
+        value = int(sample.string[max(start, end - 3) : end])
     else:
-        value = _parse_int(buf, start, end, "sample")  # past 999, if it is a number
+        value = _parse_int(sample, "sample")  # past 999, if it is a number
     if value > maxval:
         raise PgmError(f"sample value {value} exceeds maxval {maxval}")
     return value
 
 
-def _parse_int(buf: bytes, start: int, end: int, what: str) -> int:
-    """The value of the token ``buf[start:end]``, a number of at most 64 digits."""
-    if _TOKEN.match(buf, start, end).end(1) < end:
-        raise PgmError(f"non-numeric {what} token {_quote(buf, start, end)}")
+def _parse_int(token: re.Match, what: str) -> int:
+    """The value of the ``_TOKEN`` match ``token``, a number of at most 64 digits."""
+    start, end = token.span()
+    if token.end(1) < end:
+        raise PgmError(f"non-numeric {what} token {_quote(token)}")
     if end - start > 64:  # int() takes 64 digits at any int_max_str_digits setting
         raise PgmError(f"{what} token of {end - start} digits is too long")
-    return int(buf[start:end])
+    return int(token.string[start:end])
 
 
-def _quote(buf: bytes, start: int, end: int) -> str:
-    """The repr of the token ``buf[start:end]``, cut to 32 bytes and its length."""
+def _quote(token: re.Match) -> str:
+    """The repr of the matched token, cut to 32 bytes and its length."""
+    start, end = token.span()
     if end - start <= 32:
-        return repr(buf[start:end])
-    return f"{buf[start : start + 32]!r}... ({end - start} bytes)"
+        return repr(token.string[start:end])
+    return f"{token.string[start : start + 32]!r}... ({end - start} bytes)"
 
 
 def write_pgm(img) -> bytes:
@@ -270,6 +270,9 @@ def histogram(img) -> np.ndarray:
 
 def variance(img) -> float:
     """Population variance of the intensities, from exact integer sums."""
-    counts = histogram(img).tolist()
-    n, s1, s2 = (sum(g**p * c for g, c in enumerate(counts)) for p in range(3))
+    arr = as_gray(img)
+    step = max(1, (1 << 17) // arr.shape[1])  # bands of about 2**17 pixels keep the squares small
+    bands = [arr[start : start + step] for start in range(0, arr.shape[0], step)]
+    n, s1 = arr.size, sum(int(band.sum(dtype=np.uint64)) for band in bands)
+    s2 = sum(int(np.square(band, dtype=np.uint16).sum(dtype=np.uint64)) for band in bands)  # 255**2 fits
     return (n * s2 - s1 * s1) / (n * n)

@@ -56,6 +56,7 @@ ThresholdMethod = Otsu | Adcdf | MeanK
 _BAND = 32  # image rows per Niblack band
 _MAX_TOTAL = np.iinfo(np.int64).max // 255**2  # sums of count * level**2 fit int64
 _EXACT_TOTAL = math.isqrt(np.iinfo(np.int64).max // 255)  # Otsu's S*w0 - N*s0 fits int64
+_INT32_TOTAL = math.isqrt(np.iinfo(np.int32).max // 255)  # ... fits int32
 
 
 @dataclass(frozen=True)
@@ -73,41 +74,78 @@ class NiblackParams:
         _check_finite_k(self.k)
 
 
-def _otsu_thresholds(counts: np.ndarray) -> np.ndarray:
+def _otsu_thresholds(counts: np.ndarray, levels: np.ndarray, total: np.ndarray) -> np.ndarray:
     # Split t (1..255) puts levels < t in class 0. Only t with counts[t-1] > 0
-    # and pixels at or above t can win, smallest t on ties. So only levels
-    # occupied in some row are scored, as t = levels[j] + 1: empty columns add
-    # nothing to the cumsums. With N, S a row's count and sum and w0, s0 the
-    # cumsums, a split scores (S*w0 - N*s0)**2 / (w0*(N - w0)), N**2 times
-    # the between-class variance. The difference is exact, in int64 while
-    # 255 * N**2 fits and in Python ints past that; squaring and dividing in
-    # float64 round a few times, so the score is within ~1e-15 of exact and
+    # and pixels at or above t can win, smallest t on ties, so only the
+    # occupied levels are scored, as t = levels[j] + 1. With N, S a region's
+    # count and sum and w0, s0 the cumsums, a split scores
+    # (S*w0 - N*s0)**2 / (w0*(N - w0)), N**2 times the between-class
+    # variance. The difference is exact, in the narrowest of int32, int64 and
+    # Python ints that 255 * N**2 fits; squaring and dividing in float64
+    # round a few times, so the score is within ~1e-15 of exact and
     # near-best ties are rechecked in integers.
-    levels = np.flatnonzero(counts.any(axis=0))
-    if levels.size < 2:  # no split: the single-level rule picks every row
-        return np.zeros(len(counts), np.int64)
-    counts = counts[:, levels]
-    cum = np.cumsum(counts, axis=1)
-    cum_sum = np.cumsum(counts * levels, axis=1)
-    if cum[:, -1].max() > _EXACT_TOTAL:
-        cum, cum_sum = cum.astype(object), cum_sum.astype(object)
-    w0, s0, n, s = cum[:, :-1], cum_sum[:, :-1], cum[:, -1:], cum_sum[:, -1:]
-    diff = (s * w0 - n * s0).astype(np.float64)
-    den = (w0 * (n - w0)).astype(np.float64)  # 0 where a class is empty
-    # an empty level would tie its predecessor: -1 keeps it out of the ties
-    score = np.where(counts[:, :-1] > 0, diff * diff / np.maximum(den, 1), -1.0)
-    near = score >= score.max(axis=1, keepdims=True) * (1 - 1e-13)
-    best = levels[near.argmax(axis=1)] + 1
-    for row in np.flatnonzero(near.sum(axis=1) > 1):
+    if levels.size < 2:  # no split: the single-level rule picks every region
+        return np.zeros(counts.shape[1], np.int64)
+    most = total.max()
+    if most <= _INT32_TOTAL:  # one int64 cumsum carries w0 in its high 32 bits, s0 in its low
+        both = np.cumsum(counts * (levels + (1 << 32))[:, None], axis=0)
+        cum, cum_sum = (both >> 32).astype(np.int32), (both & 0xFFFFFFFF).astype(np.int32)
+    else:
+        dtype = np.int64 if most <= _EXACT_TOTAL else object
+        cum, cum_sum = (np.cumsum(c, axis=0, dtype=dtype) for c in (counts, counts * levels[:, None]))
+    w0, s0, n, s = cum[:-1], cum_sum[:-1], cum[-1:], cum_sum[-1:]
+    score = (s * w0 - n * s0).astype(np.float64)
+    score *= score
+    score /= np.maximum((w0 * (n - w0)).astype(np.float64), 1)  # 0 where a class is empty
+    # an empty level repeats its predecessor's score (0 before the first
+    # level), so the best is an occupied level's, and only those are near it
+    near = score >= score.max(axis=0) * (1 - 1e-13)
+    near &= counts[:-1] > 0
+    best = levels[near.argmax(axis=0)] + 1
+    for col in np.flatnonzero(near.sum(axis=0, dtype=np.uint8) > 1):  # at most 255 levels
         # the exact scores compare by cross-multiplication
-        total, total_sum = int(n[row, 0]), int(s[row, 0])
+        n_col, s_col = int(total[col]), int(s[0, col])
         best_num, best_den = -1, 1
-        for j in np.flatnonzero(near[row]).tolist():
-            a0, b0 = int(w0[row, j]), int(s0[row, j])
-            num, den = (total_sum * a0 - total * b0) ** 2, a0 * (total - a0)
+        for j in np.flatnonzero(near[:, col]).tolist():
+            a0, b0 = int(w0[j, col]), int(s0[j, col])
+            num, den = (s_col * a0 - n_col * b0) ** 2, a0 * (n_col - a0)
             if num * best_den > best_num * den:
-                best_num, best_den, best[row] = num, den, levels[j] + 1
+                best_num, best_den, best[col] = num, den, levels[j] + 1
     return best
+
+
+def _select(method: ThresholdMethod, counts: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Thresholds of the regions whose counts at the ascending ``levels`` are
+    the columns of the ``(L, n)`` int64 array ``counts``; other levels are empty."""
+    if counts.min(initial=0) < 0:
+        raise ValueError("histogram must be 256 non-negative counts")
+    if not counts.shape[1]:
+        return np.zeros(0, np.int64)
+    peak, total = counts.max(axis=0, initial=0), counts.sum(axis=0)
+    # the largest count goes first: past the bound the region sums may wrap
+    if (peak > _MAX_TOTAL).any() or (total > _MAX_TOTAL).any():
+        raise ValueError(f"a region may total at most {_MAX_TOTAL} counts")
+    if (total < 1).any():
+        raise ValueError("empty region")
+
+    if isinstance(method, Otsu):
+        chosen = _otsu_thresholds(counts, levels, total)
+    elif isinstance(method, Adcdf):
+        # the cdf is 0 below levels[0] and steps only at levels
+        below = np.cumsum(counts[:-1], axis=0) < method.rho * total
+        chosen = np.minimum(levels[0] + np.diff(levels) @ below + 1, 255)
+    elif isinstance(method, MeanK):
+        mean = (levels @ counts).astype(np.float64) / total
+        sq = (levels**2 @ counts).astype(np.float64) / total
+        with np.errstate(over="ignore"):  # a huge k gives +-inf, clipped below
+            x = mean + method.k * np.sqrt(np.maximum(sq - mean * mean, 0.0))
+        chosen = np.clip(np.floor(x + 0.5), 0, 255)  # x < 0 clips to 0 however it rounds
+    else:
+        raise TypeError(f"unknown threshold method {method!r}")
+    # counts >= 0 and total >= 1: the peak is the total iff one level is occupied
+    single = peak == total
+    chosen[single] = levels[counts[:, single].argmax(axis=0)]
+    return chosen.astype(np.int64, copy=False)
 
 
 def select_threshold(method: ThresholdMethod, hist: np.ndarray) -> int | np.ndarray:
@@ -121,34 +159,12 @@ def select_threshold(method: ThresholdMethod, hist: np.ndarray) -> int | np.ndar
     (~1.4e14), where the int64 sums could wrap, raise ValueError.
     """
     counts = np.asarray(hist, dtype=np.int64)
-    if counts.shape[-1:] != (256,) or counts.ndim > 2 or counts.min(initial=0) < 0:
+    if counts.shape[-1:] != (256,) or counts.ndim > 2:
         raise ValueError("histogram must be 256 non-negative counts")
     stack = counts.reshape(-1, 256)
-    top = stack.argmax(axis=1)
-    peak = stack[np.arange(len(stack)), top]
-    total = stack.sum(axis=1)
-    # the largest count goes first: past the bound the row sums may wrap
-    if (peak > _MAX_TOTAL).any() or (total > _MAX_TOTAL).any():
-        raise ValueError(f"a region may total at most {_MAX_TOTAL} counts")
-    if (total < 1).any():
-        raise ValueError("empty region")
-
-    if isinstance(method, Otsu):
-        chosen = _otsu_thresholds(stack)
-    elif isinstance(method, Adcdf):
-        below = np.cumsum(stack, axis=1) < method.rho * total[:, None]
-        chosen = np.minimum(below.sum(axis=1) + 1, 255)
-    elif isinstance(method, MeanK):
-        mean = (stack @ np.arange(256)).astype(np.float64) / total
-        sq = (stack @ np.arange(256) ** 2).astype(np.float64) / total
-        with np.errstate(over="ignore"):  # a huge k gives +-inf, clipped below
-            x = mean + method.k * np.sqrt(np.maximum(sq - mean * mean, 0.0))
-        chosen = np.clip(np.floor(x + 0.5), 0, 255)  # x < 0 clips to 0 however it rounds
-    else:
-        raise TypeError(f"unknown threshold method {method!r}")
-    # counts >= 0 and total >= 1: the peak is the total iff one level is occupied
-    levels = np.where(peak == total, top, chosen)
-    return int(levels[0]) if counts.ndim == 1 else levels.astype(np.int64)
+    levels = np.flatnonzero(stack.any(axis=0))  # negative columns too: the checks see every count
+    chosen = _select(method, stack.T[levels], levels)
+    return int(chosen[0]) if counts.ndim == 1 else chosen
 
 
 def binarize_global(img, t: int) -> np.ndarray:

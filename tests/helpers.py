@@ -18,3 +18,19 @@ def assert_same_result(got, want):
         else:
             assert type(a) is type(b) and a == b, field.name
     assert got.binary.flags.c_contiguous
+
+
+def assert_band_levels(pages, grid, bands):
+    """The base stage's ``(block count, levels)`` bands, in call order, cover
+    each padded page of ``pages`` in turn, top to bottom, and each band's
+    levels are the distinct pixels of its block rows."""
+    bands = iter(bands)
+    for page in pages:
+        top = 0
+        while top < grid.padded_h:
+            count, levels = next(bands)
+            bottom = top + count // grid.cols * grid.block_h
+            assert_array_equal(levels, np.unique(page[top:bottom]))
+            top = bottom
+        assert top == grid.padded_h
+    assert next(bands, None) is None

@@ -13,9 +13,9 @@ import labt.engine
 import labt.image_core
 from labt.image_core import histogram, variance
 from labt.metrics import continuity_violations
-from labt.thresholders import Adcdf, MeanK, Otsu, select_threshold
+from labt.thresholders import Adcdf, MeanK, Otsu, _select, select_threshold
 from corpus import bimodal_noise, checkerboard, document_scan
-from helpers import assert_same_result
+from helpers import assert_band_levels, assert_same_result
 from oracles import (
     admissible_interval,
     batched_neighbor_range,
@@ -306,31 +306,42 @@ class TestRunLabt:
 
     @pytest.mark.parametrize("seed_global", [True, False])
     def test_one_selection_per_block_row_and_no_histogram(self, monkeypatch, rng, seed_global):
-        calls = []
+        bands, seeds = [], []
 
-        def counting(method, hist):
-            calls.append(np.shape(hist))
+        def selecting(method, counts, levels):
+            bands.append((counts.shape[1], levels))
+            return _select(method, counts, levels)
+
+        def seeding(method, hist):
+            seeds.append(np.shape(hist))
             return select_threshold(method, hist)
 
         def forbidden(img):
             raise AssertionError("run_labt must not call histogram")
 
-        monkeypatch.setattr(labt.engine, "select_threshold", counting)
+        monkeypatch.setattr(labt.engine, "_select", selecting)
+        monkeypatch.setattr(labt.engine, "select_threshold", seeding)
         monkeypatch.setattr(labt.image_core, "histogram", forbidden)
         # A band holds max(1, 2**16 // (cols * max(256, bh * bw))) block rows.
         # 4 x 9 blocks of 8x16 fit one band of up to 28 rows; 5 x 64 blocks of
         # 8x8 take bands of 4 rows, the last partial; 3 x 263 blocks of 8x8
-        # take one band per row.
+        # take one band per row. Uniform noise spreads wide, so the auto
+        # grid picks 16x16 blocks: 4 x 5 of them, one band.
         cases = [
-            ((50, 70), (8, 16), [(36, 256)]),
-            ((40, 512), (8, 8), [(256, 256), (64, 256)]),
-            ((20, 2100), (8, 8), [(263, 256)] * 3),
+            ((50, 70), (8, 16), [36]),
+            ((40, 512), (8, 8), [256, 64]),
+            ((20, 2100), (8, 8), [263] * 3),
+            ((50, 70), (None, None), [20]),
         ]
-        for shape, (bw, bh), bands in cases:
-            calls.clear()
+        for shape, (bw, bh), sizes in cases:
+            bands.clear()
+            seeds.clear()
             img = rng.integers(0, 256, shape, dtype=np.uint8)
-            run_labt(img, LabtConfig(block_w=bw, block_h=bh, seed_global=seed_global))
-            assert calls == bands + [(256,)] * seed_global
+            res = run_labt(img, LabtConfig(block_w=bw, block_h=bh, seed_global=seed_global))
+            assert [count for count, _ in bands] == sizes
+            # the page's seed is the one selection from a full histogram
+            assert seeds == [(256,)] * seed_global
+            assert_band_levels([res.padded], res.grid, bands)
 
     def test_constant_image(self):
         img = np.full((20, 20), 90, np.uint8)

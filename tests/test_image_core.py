@@ -205,6 +205,22 @@ long_tokens = st.builds(
 ).filter(bool)
 
 
+# a token many parse chunks long
+LONG = 4_000_000
+
+
+class CountingPattern:
+    """A compiled pattern that adds up the bytes its matches span."""
+
+    def __init__(self, pattern):
+        self.pattern, self.spanned = pattern, 0
+
+    def match(self, *args):
+        found = self.pattern.match(*args)
+        self.spanned += found.end() - found.start()
+        return found
+
+
 class TestReadPgmP2:
     """The whole-buffer P2 parse against the frozen per-sample loop."""
 
@@ -277,6 +293,23 @@ class TestReadPgmP2:
         assert got.tolist() == [[1, 2]]
         # no chunk that holds a comment is longer than _P2_CHUNK bytes
         assert peak <= 2**20
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"P2 2 1 255\n" + b"x" * LONG + b" 2\n", "non-numeric sample token"),
+            (b"P2 " + b"x" * LONG + b" 1 255\n1 2\n", "non-numeric width token"),
+            (b"P2 2 1 255\n" + b"1" * LONG + b" 2\n", f"sample token of {LONG} digits"),
+        ],
+        ids=["sample", "width", "digits"],
+    )
+    def test_long_token_is_scanned_once(self, monkeypatch, data, message):
+        counting = CountingPattern(labt.image_core._TOKEN)
+        monkeypatch.setattr(labt.image_core, "_TOKEN", counting)
+        with pytest.raises(PgmError, match=message):
+            read_pgm(data)
+        # the long token once, and the few bytes of the header's other tokens
+        assert LONG <= counting.spanned <= LONG + 16
 
     def test_leading_zeros(self):
         assert read_pgm(b"P2 3 1 255 0007 0000000255 000").tolist() == [[7, 255, 0]]
@@ -475,6 +508,14 @@ class TestStatistics:
         img = rng.integers(0, 256, shape, dtype=np.uint8)
         assert_array_equal(histogram(img), np.bincount(img.ravel(), minlength=256))
         assert histogram(img).dtype == np.int64
+
+    @pytest.mark.parametrize("shape", [(700, 300), (3, 200_000), (1, 140_000)])
+    @pytest.mark.parametrize("fill", ["random", 255])
+    def test_variance_is_exact_across_bands(self, rng, shape, fill):
+        # taller and wider than one 2**17-pixel band; all 255 is the largest sum of squares
+        img = rng.integers(0, 256, shape, dtype=np.uint8) if fill == "random" else np.full(shape, fill, np.uint8)
+        n, s1, s2 = img.size, int(img.sum(dtype=np.int64)), int(np.square(img, dtype=np.int64).sum())
+        assert variance(img) == float(Fraction(n * s2 - s1**2, n * n))
 
     def test_variance_is_exact(self, rng):
         for _ in range(40):

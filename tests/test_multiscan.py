@@ -10,7 +10,7 @@ import labt.engine
 from labt.engine import LabtConfig, run_labt
 from labt.multiscan import ORIENTATIONS, run_multiscan
 from labt.thresholders import Adcdf, MeanK, Otsu
-from helpers import assert_same_result
+from helpers import assert_band_levels, assert_same_result
 
 # seeded-search instance where the flipped scans clamp differently and the
 # union strictly grows the foreground (verified by direct comparison below)
@@ -140,17 +140,17 @@ class TestMatchesThreeRuns:
     @pytest.mark.parametrize(
         "shape, block, grid, bands, base_stages",
         [
-            ((48, 64), 16, (3, 4), [(12, 256)], 1),
-            ((45, 61), 16, (3, 4), [(12, 256)], 3),
-            ((8, 40), 8, (1, 5), [(5, 256)], 1),
-            ((40, 8), 8, (5, 1), [(5, 256)], 1),
-            ((43, 8), 8, (6, 1), [(6, 256)], 3),
-            ((16, 2104), 8, (2, 263), [(263, 256)] * 2, 1),
+            ((48, 64), 16, (3, 4), [12], 1),
+            ((45, 61), 16, (3, 4), [12], 3),
+            ((8, 40), 8, (1, 5), [5], 1),
+            ((40, 8), 8, (5, 1), [5], 1),
+            ((43, 8), 8, (6, 1), [6], 3),
+            ((16, 2104), 8, (2, 263), [263] * 2, 1),
         ],
         ids=["aligned", "padded", "one_row", "one_column", "one_column_padded", "one_band_per_row"],
     )
     def test_one_wavefront_for_three_scans(self, rng, monkeypatch, shape, block, grid, bands, base_stages):
-        calls = {"_scan": [], "select_threshold": []}
+        calls = {"_scan": [], "_select": [], "select_threshold": []}
         for name, log in calls.items():
             original = getattr(labt.engine, name)
             monkeypatch.setattr(labt.engine, name, lambda *a, f=original, log=log: log.append(a) or f(*a))
@@ -164,4 +164,7 @@ class TestMatchesThreeRuns:
         # one runs both per orientation. A base stage makes one selection per
         # band of max(1, 2**16 // (cols * 256)) block rows: one band here, but
         # a row each when 263 columns are too wide to share one.
-        assert [a[1].shape for a in calls["select_threshold"]] == bands * base_stages + [(256,)] * base_stages
+        assert [a[1].shape[1] for a in calls["_select"]] == bands * base_stages
+        assert [a[1].shape for a in calls["select_threshold"]] == [(256,)] * base_stages
+        pages = [run.padded for run in ms.runs[:base_stages]]
+        assert_band_levels(pages, ms.runs[0].grid, [(a[1].shape[1], a[2]) for a in calls["_select"]])

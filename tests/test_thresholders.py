@@ -213,6 +213,28 @@ class TestBatchedSelection:
         assert stack[:7].sum(axis=1).tolist() == [total] * 7
         assert select_threshold(Otsu(), stack).tolist() == [otsu_exhaustive(row) for row in stack]
 
+    @pytest.mark.parametrize("total", [2901, 2902, 6000])
+    def test_otsu_rows_at_the_int32_bound(self, rng, total):
+        # a stack whose rows total at most 2,901 = isqrt(int32 max // 255)
+        # counts scores in int32; one more count and it scores in int64. At
+        # 6,000 counts, row 8's S*w0 - N*s0, about 255 * N**2 / 4, is past int32.
+        assert labt.thresholders._INT32_TOTAL == 2901
+        stack = np.zeros((10, 256), np.int64)
+        stack[0, [254, 255]] = total - 1, 1  # S*w0 at split 255 is ~254 N**2
+        stack[1, [0, 255]] = 1, total - 1
+        stack[8, [0, 1, 255]] = total // 2 - 1, 1, total - total // 2
+        # splits 11 and 21 tie exactly at 2,901 = 3 * 967 and nearly at 2,902
+        third = total // 3
+        stack[2, [10, 20, 30]] = third, third, total - 2 * third
+        stack[3, [10, 20, 30]] = total - 2 * third, third, third
+        for row in stack[4:8]:
+            levels = rng.choice(256, int(rng.integers(2, 9)), replace=False)
+            cuts = np.sort(rng.integers(1, total, len(levels) - 1))
+            row[levels] = np.diff(np.concatenate(([0], cuts, [total])))
+        stack[9, [1, 2, 3]] = 1  # a small row in the same stack
+        assert stack[:9].sum(axis=1).tolist() == [total] * 9
+        assert select_threshold(Otsu(), stack).tolist() == [otsu_exhaustive(row) for row in stack]
+
     def test_otsu_rows_of_10_12_counts(self, rng):
         stack = np.zeros((10, 256), np.int64)
         for row in stack[:8]:
@@ -244,6 +266,28 @@ class TestBatchedSelection:
         for method in self.METHODS:  # an empty stack gives an empty array
             got = select_threshold(method, np.zeros((0, 256), np.int64))
             assert got.shape == (0,) and got.dtype == np.int64
+
+    def test_negative_count_found_in_any_column(self):
+        # a -3 under a +3 sums to 0 in its column, and a lone negative count
+        # is the only count of its column: both columns are still checked
+        for rows in ([[7, 9], [7, 9]], [[9], []]):
+            stack = np.zeros((len(rows), 256), np.int64)
+            for i, levels in enumerate(rows):
+                stack[i, levels] = 3
+            stack[-1, 7] = -3
+            with pytest.raises(ValueError, match="256 non-negative"):
+                select_threshold(Otsu(), stack)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_select_on_occupied_levels(self, method):
+        # the stacks the engine passes: a row per level some region holds, a column per region
+        select = labt.thresholders._select
+        assert select(method, np.array([[4, 1, 9]]), np.array([77])).tolist() == [77] * 3
+        for levels in (np.arange(256), np.arange(0)):
+            got = select(method, np.zeros((len(levels), 0), np.int64), levels)
+            assert got.shape == (0,) and got.dtype == np.int64
+        with pytest.raises(ValueError, match="empty region"):
+            select(method, np.zeros((0, 2), np.int64), np.arange(0))
 
     @pytest.mark.parametrize("method", METHODS)
     @given(stack=sparse_stacks())
