@@ -1,12 +1,13 @@
 """Core block-thresholding engine with the continuity constraint.
 
 The image is split into equal blocks, sized by the config or else by the
-image spread. The base stage thresholds each block from its own 256-bin
-histogram. The scan, the one sequential stage, walks the anti-diagonals of
-the grid and clamps each base threshold into the ranges of values that
-classify the block's border lines exactly as its finished up/left
-neighbors do; a neighbor beyond the grid edge contributes the full range
-0..255. Last, one compare per block row labels the image's pixels.
+image spread. The base stage thresholds each block from its own histogram,
+or a small block from its own pixels, which give the same threshold. The
+scan, the one sequential stage, walks the anti-diagonals of the grid and
+clamps each base threshold into the ranges of values that classify the
+block's border lines exactly as its finished up/left neighbors do; a
+neighbor beyond the grid edge contributes the full range 0..255. Last, one
+compare per block row labels the image's pixels.
 
 Two range modes exist. ``strict`` (default) guarantees that the shared
 border pixels of adjacent blocks receive identical labels under both
@@ -24,8 +25,8 @@ from numbers import Integral
 
 import numpy as np
 
-from .image_core import as_gray, variance
-from .thresholders import Otsu, ThresholdMethod, _select, select_threshold
+from .image_core import as_gray, histogram, variance
+from .thresholders import Otsu, ThresholdMethod, _select, _select_pixels, select_threshold
 
 _MODES = ("strict", "paper")
 _TABLE_BYTES = 1 << 18  # the scan lays out border lines about this many bytes at a time
@@ -131,27 +132,41 @@ def _base_thresholds(blocks, method: ThresholdMethod):
     """Base stage: threshold each block of the ``(rows, bh, cols, bw)`` view.
 
     The block rows go in bands of about ``_BAND_ELEMENTS`` bins or pixels,
-    at least one row: one ``np.bincount`` per band counts each pixel once,
-    one column sum gives both the band's share of the page histogram and its
-    occupied levels, and one selection thresholds the band's blocks from
-    just those levels' counts, gathered level by level. Returns the
-    ``(rows, cols)`` thresholds and the padded image's histogram.
+    at least one row, and one selection thresholds a band's blocks from
+    whichever are the fewer values, histograms or pixels. One
+    ``np.bincount`` counts a band's pixels once, one column sum gives both
+    its share of the page histogram and its occupied levels, and
+    :func:`_select` takes just those levels' counts. Otsu counts every band
+    but passes its pixels to :func:`_select_pixels` where a block holds
+    fewer pixels than the band holds levels. Adcdf and MeanK pass the pixels
+    of blocks no larger than a histogram's 256 bins and count nothing.
+    Returns the ``(rows, cols)`` thresholds and the padded image's
+    histogram, or None where no band was counted.
     """
     rows, bh, cols, bw = blocks.shape
-    band = max(1, _BAND_ELEMENTS // (cols * max(256, bh * bw)))
+    size = bh * bw
+    counted = isinstance(method, Otsu) or size > 256
+    band = max(1, _BAND_ELEMENTS // (cols * (max(256, size) if counted else size)))
     base = np.empty((rows, cols), dtype=np.int32)
-    page = np.zeros(256, dtype=np.int64)
-    # The narrowest type that holds every bin index; the counts are int64 anyway.
-    bins = band * cols * 256
-    bin_base = np.arange(0, bins, 256, dtype=np.min_scalar_type(bins - 1)).reshape(band, 1, cols, 1)
+    page = None
+    if counted:
+        page = np.zeros(256, dtype=np.int64)
+        # The narrowest type that holds every bin index; the counts are int64 anyway.
+        bins = band * cols * 256
+        bin_base = np.arange(0, bins, 256, dtype=np.min_scalar_type(bins - 1)).reshape(band, 1, cols, 1)
     for r in range(0, rows, band):
         pixels = blocks[r : r + band]
-        index = bin_base[: len(pixels)]
-        hists = np.bincount((index + pixels).ravel(), minlength=index.size * 256).reshape(-1, 256)
-        column = hists.sum(axis=0)
-        levels = np.flatnonzero(column)
-        base[r : r + band] = _select(method, hists.T[levels], levels).reshape(-1, cols)
-        page += column
+        if counted:
+            index = bin_base[: len(pixels)]
+            hists = np.bincount((index + pixels).ravel(), minlength=index.size * 256).reshape(-1, 256)
+            column = hists.sum(axis=0)
+            page += column
+            levels = np.flatnonzero(column)
+            if size >= len(levels):
+                base[r : r + band] = _select(method, hists.T[levels], levels).reshape(-1, cols)
+                continue
+        block_pixels = pixels.transpose(0, 2, 1, 3).reshape(-1, size)
+        base[r : r + band] = _select_pixels(method, block_pixels).reshape(-1, cols)
     return base, page
 
 
@@ -232,7 +247,10 @@ def _scan(blocks, base, seeds, mode: str):
             # smallest. A line's count of values below c is a rank, so
             # candidate c mislabels |#(v < c) - #(v < t)| of its pixels.
             cand = np.concatenate((lo2, hi2, t))  # lo_up, lo_left, hi_up, hi_left, t_up, t_left
-            ranks = (x[:, :, None] < cand).sum(axis=0, dtype=np.int32)  # (2 lines, 6, m)
+            # The (2 lines, 6, m) ranks of lines shorter than 256 pixels
+            # count in uint8, made signed before the differences.
+            count, signed = (np.uint8, np.int16) if len(x) < 256 else (np.int32, np.int32)
+            ranks = (x[:, :, None] < cand).sum(axis=0, dtype=count).astype(signed, copy=False)
             bad = np.add(abs(ranks[0] - ranks[0, 4]), abs(ranks[1] - ranks[1, 5]), dtype=np.int64)
             # Candidates and distances lie in 0..255, so the key orders
             # (disagreements, distance, value) lexicographically, and its
@@ -265,7 +283,10 @@ def _run_oriented(img, cfg: LabtConfig, orients) -> tuple[LabtResult, ...]:
     aligned = pages.shape[1:] == arr.shape  # else a flip moves the padding to another side
     bases, hists = zip(*[_base_thresholds(one, cfg.method) for one in (blocks[:1] if aligned else blocks)])
     bases = np.stack([o(bases[0]) for o in orients] if aligned else bases)  # rebinding frees the unstacked ones
-    seeds = [select_threshold(cfg.method, h) for h in hists] if cfg.seed_global else bases[:, 0, 0]
+    if cfg.seed_global:  # a stage that counted no band leaves its page to one histogram
+        seeds = [select_threshold(cfg.method, histogram(p) if h is None else h) for p, h in zip(pages, hists)]
+    else:
+        seeds = bases[:, 0, 0]
     final, range_lo, range_hi, disjoint = _scan(blocks, bases, seeds, cfg.mode)
     # Label only the image's pixels, one block row at a time, straight into
     # the cropped mask. Thresholds lie in 0..255, so comparing as uint8 is exact.

@@ -127,10 +127,8 @@ def read_pgm(data: bytes) -> np.ndarray:
             values, stop = [_sample_value(sample, maxval)], sample.end()
         else:
             chunk = buf[pos:stop]
-            # A "#" ends a token, so turning each comment into one space moves
-            # no token boundary.
             if b"#" in chunk:
-                chunk = re.sub(rb"#[^\r\n]*", b" ", chunk)
+                chunk = _blank_comments(chunk)
             values = _p2_values(chunk, count - done, maxval)
         samples[done : done + len(values)] = values
         done, pos = done + len(values), stop
@@ -162,6 +160,25 @@ def _p2_cut(buf: bytes, start: int) -> int:
     if hash_at >= 0:
         cut = max(buf.rfind(b"\n", start, cut), buf.rfind(b"\r", start, cut)) + 1 or hash_at
     return cut
+
+
+def _blank_comments(chunk: bytes) -> bytes:
+    """A copy of ``chunk`` with each comment byte made a space.
+
+    A byte lies in a comment when the last "#" up to it comes after the last
+    CR or LF before it. A "#" ends a token, so blanking a comment moves no
+    token boundary. One int32 running maximum of the events, ``2 * i + 1`` at
+    a "#" and ``2 * i`` at a line end, is odd exactly there, so the cost stays
+    a few bytes per chunk byte however many comments it holds.
+    """
+    a = np.frombuffer(chunk, dtype=np.uint8).copy()
+    hashes = a == ord("#")
+    last = np.arange(0, 2 * len(a), 2, dtype=np.int32)
+    last += hashes
+    last *= hashes | (a == ord("\n")) | (a == ord("\r"))
+    np.maximum.accumulate(last, out=last)
+    a[(last & 1).astype(bool)] = ord(" ")
+    return a.tobytes()
 
 
 def _p2_values(chunk: bytes, limit: int, maxval: int) -> np.ndarray:
@@ -271,8 +288,13 @@ def histogram(img) -> np.ndarray:
 def variance(img) -> float:
     """Population variance of the intensities, from exact integer sums."""
     arr = as_gray(img)
-    step = max(1, (1 << 17) // arr.shape[1])  # bands of about 2**17 pixels keep the squares small
-    bands = [arr[start : start + step] for start in range(0, arr.shape[0], step)]
-    n, s1 = arr.size, sum(int(band.sum(dtype=np.uint64)) for band in bands)
-    s2 = sum(int(np.square(band, dtype=np.uint16).sum(dtype=np.uint64)) for band in bands)  # 255**2 fits
+    # Bands of about 2**17 pixels, at most 256 rows: a band's column sums
+    # fit uint16 (256 * 255) and those of its squares uint32 (256 * 255**2).
+    step = min(256, max(1, (1 << 17) // arr.shape[1]))
+    s1 = s2 = 0
+    for start in range(0, arr.shape[0], step):
+        band = arr[start : start + step]
+        s1 += int(band.sum(axis=0, dtype=np.uint16).sum(dtype=np.uint64))
+        s2 += int(np.square(band, dtype=np.uint16).sum(axis=0, dtype=np.uint32).sum(dtype=np.uint64))
+    n = arr.size
     return (n * s2 - s1 * s1) / (n * n)

@@ -1,7 +1,8 @@
 """Threshold selection methods applied to pixel regions, plus baselines.
 
 Block methods (:class:`Otsu`, :class:`Adcdf`, :class:`MeanK`) pick a single
-integer threshold from a region's histogram. :func:`niblack_binarize` is the
+integer threshold from a region's histogram, or from its pixels when those
+are fewer values, with the same result. :func:`niblack_binarize` is the
 per-pixel local baseline used for comparison runs.
 
 Classification convention everywhere: a pixel is foreground iff its
@@ -103,15 +104,57 @@ def _otsu_thresholds(counts: np.ndarray, levels: np.ndarray, total: np.ndarray) 
     near &= counts[:-1] > 0
     best = levels[near.argmax(axis=0)] + 1
     for col in np.flatnonzero(near.sum(axis=0, dtype=np.uint8) > 1):  # at most 255 levels
-        # the exact scores compare by cross-multiplication
-        n_col, s_col = int(total[col]), int(s[0, col])
-        best_num, best_den = -1, 1
-        for j in np.flatnonzero(near[:, col]).tolist():
-            a0, b0 = int(w0[j, col]), int(s0[j, col])
-            num, den = (s_col * a0 - n_col * b0) ** 2, a0 * (n_col - a0)
-            if num * best_den > best_num * den:
-                best_num, best_den, best[col] = num, den, levels[j] + 1
+        splits = [(w0[j, col], s0[j, col], levels[j] + 1) for j in np.flatnonzero(near[:, col])]
+        best[col] = _exact_best(int(total[col]), int(s[0, col]), splits)
     return best
+
+
+def _exact_best(n: int, s: int, splits) -> int:
+    """The threshold of the best of the near-best ``(w0, s0, t)`` splits of a
+    region of count ``n`` and sum ``s``, the first on ties: the exact scores
+    compare by cross-multiplication."""
+    best_num, best_den, best = -1, 1, 0
+    for a0, b0, t in splits:
+        a0, b0 = int(a0), int(b0)
+        num, den = (s * a0 - n * b0) ** 2, a0 * (n - a0)
+        if num * best_den > best_num * den:
+            best_num, best_den, best = num, den, t
+    return best
+
+
+def _otsu_sorted(v: np.ndarray) -> np.ndarray:
+    # _otsu_thresholds on the ascending pixels v of each row: the split after
+    # v[i] has w0 = i + 1 and s0 the running sum, in int32 while 255 * P**2
+    # fits (P up to _INT32_TOTAL), and is the threshold v[i] + 1 only where
+    # v[i] < v[i + 1]
+    n, size = v.shape
+    s0 = np.cumsum(v, axis=1, dtype=np.int32)
+    s = s0[:, -1:]
+    w0 = np.arange(1, size, dtype=np.int32)
+    score = (s * w0 - size * s0[:, :-1]).astype(np.float64)
+    score *= score
+    score /= (w0 * (size - w0)).astype(np.float64)
+    # A split inside a run of equal pixels is no threshold, but it never
+    # scores above the best split between levels (moving the run's pixels to
+    # the class with the nearer mean loses no score), so it is dropped from
+    # the near-best set only: that leaves a single-level row no recheck.
+    near = score >= score.max(axis=1, keepdims=True) * (1 - 1e-13)
+    near &= v[:, :-1] < v[:, 1:]
+    best = v[np.arange(n), near.argmax(axis=1)] + 1
+    for row in np.flatnonzero(near.sum(axis=1, dtype=np.uint8) > 1):  # P - 1 < 255 splits
+        splits = [(i + 1, s0[row, i], v[row, i] + 1) for i in np.flatnonzero(near[row])]
+        best[row] = _exact_best(size, int(s[row, 0]), splits)
+    return best
+
+
+def _mean_k(k: float, sums: np.ndarray, squares: np.ndarray, total) -> np.ndarray:
+    """MeanK thresholds of regions of ``total`` pixels from their int64 sums
+    of pixels and of squares."""
+    mean = sums.astype(np.float64) / total
+    sq = squares.astype(np.float64) / total
+    with np.errstate(over="ignore"):  # a huge k gives +-inf, clipped below
+        x = mean + k * np.sqrt(np.maximum(sq - mean * mean, 0.0))
+    return np.clip(np.floor(x + 0.5), 0, 255)  # x < 0 clips to 0 however it rounds
 
 
 def _select(method: ThresholdMethod, counts: np.ndarray, levels: np.ndarray) -> np.ndarray:
@@ -135,17 +178,40 @@ def _select(method: ThresholdMethod, counts: np.ndarray, levels: np.ndarray) -> 
         below = np.cumsum(counts[:-1], axis=0) < method.rho * total
         chosen = np.minimum(levels[0] + np.diff(levels) @ below + 1, 255)
     elif isinstance(method, MeanK):
-        mean = (levels @ counts).astype(np.float64) / total
-        sq = (levels**2 @ counts).astype(np.float64) / total
-        with np.errstate(over="ignore"):  # a huge k gives +-inf, clipped below
-            x = mean + method.k * np.sqrt(np.maximum(sq - mean * mean, 0.0))
-        chosen = np.clip(np.floor(x + 0.5), 0, 255)  # x < 0 clips to 0 however it rounds
+        chosen = _mean_k(method.k, levels @ counts, levels**2 @ counts, total)
     else:
         raise TypeError(f"unknown threshold method {method!r}")
     # counts >= 0 and total >= 1: the peak is the total iff one level is occupied
     single = peak == total
     chosen[single] = levels[counts[:, single].argmax(axis=0)]
     return chosen.astype(np.int64, copy=False)
+
+
+def _select_pixels(method: ThresholdMethod, pixels: np.ndarray) -> np.ndarray:
+    """The thresholds that :func:`_select` gives the histograms of the rows
+    of the ``(n, P)`` uint8 array ``pixels``, taken from the pixels: for
+    small regions, P sorted pixels are fewer values than their levels' counts.
+    """
+    size = pixels.shape[1]
+    if isinstance(method, MeanK):
+        # A single-level row has mean v and variance 0 exactly: it gives v.
+        sums = pixels.sum(axis=1, dtype=np.int64)
+        squares = np.square(pixels, dtype=np.uint16).sum(axis=1, dtype=np.int64)
+        return _mean_k(method.k, sums, squares, size).astype(np.int64)
+    v = pixels.astype(np.int16)  # numpy sorts int16 rows with SIMD, uint8 rows far slower
+    v.sort(axis=1)
+    if isinstance(method, Otsu):
+        chosen = _otsu_sorted(v)
+    elif isinstance(method, Adcdf):
+        # the cdf first reaches rho of a row at v[i], i counting the j in
+        # 1..P below rho * P: the comparison _select makes with its cumsums
+        i = sum(j < method.rho * size for j in range(1, size + 1))
+        chosen = np.minimum(v[:, i] + 1, 255)
+    else:
+        raise TypeError(f"unknown threshold method {method!r}")
+    single = v[:, 0] == v[:, -1]
+    chosen[single] = v[single, 0]
+    return chosen.astype(np.int64)
 
 
 def select_threshold(method: ThresholdMethod, hist: np.ndarray) -> int | np.ndarray:

@@ -170,5 +170,7 @@ def test_hostile_pgm_costs_bounded_memory_and_message(name):
         else:
             assert got.tolist() == want(n)
         assert peaks[-1] <= 8 * 2**20 + returned_bytes(got)
+        if "comment_lines" in name:  # as little as a plain 512x512 page's parse
+            assert peaks[-1] <= 1.5 * 2**20 + returned_bytes(got)
     # the cost of a tenfold input stays put: bounded, not proportional
     assert abs(peaks[1] - peaks[0]) < 2**20

@@ -13,9 +13,10 @@ import labt.engine
 import labt.image_core
 from labt.image_core import histogram, variance
 from labt.metrics import continuity_violations
-from labt.thresholders import Adcdf, MeanK, Otsu, _select, select_threshold
+from labt.multiscan import ORIENTATIONS, run_multiscan
+from labt.thresholders import Adcdf, MeanK, Otsu, select_threshold
 from corpus import bimodal_noise, checkerboard, document_scan
-from helpers import assert_band_levels, assert_same_result
+from helpers import assert_bands, assert_same_result, logging_selections
 from oracles import (
     admissible_interval,
     batched_neighbor_range,
@@ -306,42 +307,84 @@ class TestRunLabt:
 
     @pytest.mark.parametrize("seed_global", [True, False])
     def test_one_selection_per_block_row_and_no_histogram(self, monkeypatch, rng, seed_global):
-        bands, seeds = [], []
-
-        def selecting(method, counts, levels):
-            bands.append((counts.shape[1], levels))
-            return _select(method, counts, levels)
+        seeds = []
 
         def seeding(method, hist):
             seeds.append(np.shape(hist))
             return select_threshold(method, hist)
 
         def forbidden(img):
-            raise AssertionError("run_labt must not call histogram")
+            raise AssertionError("run_labt must not call histogram for Otsu")
 
-        monkeypatch.setattr(labt.engine, "_select", selecting)
+        bands = logging_selections(monkeypatch, labt.engine)
         monkeypatch.setattr(labt.engine, "select_threshold", seeding)
+        monkeypatch.setattr(labt.engine, "histogram", forbidden)
         monkeypatch.setattr(labt.image_core, "histogram", forbidden)
         # A band holds max(1, 2**16 // (cols * max(256, bh * bw))) block rows.
         # 4 x 9 blocks of 8x16 fit one band of up to 28 rows; 5 x 64 blocks of
         # 8x8 take bands of 4 rows, the last partial; 3 x 263 blocks of 8x8
         # take one band per row. Uniform noise spreads wide, so the auto
-        # grid picks 16x16 blocks: 4 x 5 of them, one band.
+        # grid picks 16x16 blocks: 4 x 5 of them, one band. A band passes
+        # its pixels when it holds more levels than a block has pixels:
+        # noise holds up to 256, and its first `few` pixel rows, taken
+        # modulo 40, at most 40, so their 8x8 bands stay dense.
         cases = [
-            ((50, 70), (8, 16), [36]),
-            ((40, 512), (8, 8), [256, 64]),
-            ((20, 2100), (8, 8), [263] * 3),
-            ((50, 70), (None, None), [20]),
+            ((50, 70), (8, 16), 0, [36]),
+            ((40, 512), (8, 8), 0, [256, 64]),
+            ((40, 512), (8, 8), 32, [256, 64]),
+            ((40, 512), (8, 8), 40, [256, 64]),
+            ((20, 2100), (8, 8), 0, [263] * 3),
+            ((50, 70), (None, None), 0, [20]),
         ]
-        for shape, (bw, bh), sizes in cases:
+        paths = set()
+        for shape, (bw, bh), few, sizes in cases:
             bands.clear()
             seeds.clear()
             img = rng.integers(0, 256, shape, dtype=np.uint8)
+            img[:few] %= 40
             res = run_labt(img, LabtConfig(block_w=bw, block_h=bh, seed_global=seed_global))
-            assert [count for count, _ in bands] == sizes
+            assert [count for _, count, _ in bands] == sizes
             # the page's seed is the one selection from a full histogram
             assert seeds == [(256,)] * seed_global
-            assert_band_levels([res.padded], res.grid, bands)
+            size = res.grid.block_w * res.grid.block_h
+            assert_bands([res.padded], res.grid, bands, lambda levels: len(levels) <= size)
+            paths.update(path for path, _, _ in bands)
+        assert paths == {"dense", "pixels"}
+
+    @pytest.mark.parametrize("method", [Adcdf(), MeanK()], ids=["adcdf", "meank"])
+    @pytest.mark.parametrize("seed_global", [True, False])
+    def test_small_blocks_pass_pixels_and_one_histogram(self, monkeypatch, rng, method, seed_global):
+        pages = []
+
+        def counting(img):
+            pages.append(img)
+            return histogram(img)
+
+        bands = logging_selections(monkeypatch, labt.engine)
+        monkeypatch.setattr(labt.engine, "histogram", counting)
+        # Blocks of at most 256 pixels pass their pixels in bands of
+        # max(1, 2**16 // (cols * bh * bw)) block rows, whatever the levels:
+        # 5 x 64 blocks of 8x8 fit one band of 16 rows, 13 x 263 take bands
+        # of 3 rows, and 4 x 5 of 16x16 one band. Blocks of 17x16 count
+        # their histograms in bands sized as Otsu's, which also give the
+        # page histogram; else the global seed takes one histogram call.
+        cases = [
+            ((40, 512), (8, 8), [320]),
+            ((100, 2100), (8, 8), [789] * 4 + [263]),
+            ((50, 70), (16, 16), [20]),
+            ((50, 70), (17, 16), [20]),
+        ]
+        for shape, (bw, bh), sizes in cases:
+            bands.clear()
+            pages.clear()
+            img = rng.integers(0, 256, shape, dtype=np.uint8)
+            res = run_labt(img, LabtConfig(method, bw, bh, seed_global=seed_global))
+            assert [count for _, count, _ in bands] == sizes
+            dense = bw * bh > 256
+            assert_bands([res.padded], res.grid, bands, lambda levels: dense)
+            assert len(pages) == (seed_global and not dense)
+            for page in pages:  # the padded page itself, not a copy
+                assert page.shape == res.padded.shape and np.shares_memory(page, res.padded)
 
     def test_constant_image(self):
         img = np.full((20, 20), 90, np.uint8)
@@ -626,6 +669,29 @@ class TestMatchesRasterReference:
         res = run_labt(img, cfg)
         assert_same_result(res, run_labt_raster(img, cfg))
 
+    @settings(max_examples=150)
+    @given(
+        st.integers(2, 10),
+        st.integers(2, 10),
+        st.integers(1, 9),
+        st.integers(1, 40),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([3, 40, 256]),
+        METHODS,
+        st.sampled_from(["strict", "paper"]),
+        st.booleans(),
+    )
+    def test_small_blocks_and_their_multiscan(self, bh, bw, rows, cols, seed, levels, method, mode, seed_global):
+        # Blocks of at most 100 pixels: Otsu passes the pixels of bands that
+        # hold more levels, Adcdf and MeanK those of every band.
+        gen = np.random.default_rng(seed)
+        h, w = max(2, rows * bh - int(gen.integers(0, bh))), max(2, cols * bw - int(gen.integers(0, bw)))
+        img = gen.integers(0, 256, levels)[gen.integers(0, levels, (h, w))].astype(np.uint8)
+        cfg = LabtConfig(method, bw, bh, mode, seed_global)
+        assert_same_result(run_labt(img, cfg), run_labt_raster(img, cfg))
+        for orient, run in zip(ORIENTATIONS, run_multiscan(img, cfg).runs):
+            assert_same_result(run, run_labt_raster(orient(img), cfg))
+
     @pytest.mark.parametrize(
         "img",
         [document_scan(300, 200, 31), bimodal_noise(300, 200, 41), checkerboard(300, 200, 20)],
@@ -694,6 +760,27 @@ class TestStackedScan:
         assert [(a.shape, a.dtype) for a in got] == [(a.shape, a.dtype) for a in want]
         for name, a, b in zip(["thresholds", "range_lo", "range_hi", "disjoint"], got, want):
             assert_array_equal(a, b, err_msg=name)
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_rank_counts_past_255(self, transpose):
+        # Block (1, 1)'s 300-pixel top line holds 256 pixels below its up
+        # neighbor's threshold 150, and its left line [5, 8] one below its
+        # left neighbor's 7: ranges [11, 200] and [6, 8], disjoint. Candidates
+        # 11, 150 and 200 mislabel one border pixel and 6, 7 and 8 255, so 11
+        # wins; counts wrapped past 255 would tie all six and pick 8, the
+        # nearest to the base 9. 255 elsewhere admits the full range.
+        page = np.full((4, 600), 255, np.uint8)
+        page[2, 300:] = [5] + [10] * 255 + [200] * 44
+        page[3, 300] = 8
+        base = np.array([[0, 150], [7, 9]], np.int32)
+        if transpose:
+            page, base = page.T, base.T
+        blocks = page.reshape(1, 2, page.shape[0] // 2, 2, page.shape[1] // 2)
+        got = _scan(blocks, base[None], [0], "strict")
+        want = scan_reference(blocks, base[None], [0], "strict")
+        for a, b in zip(got, want):
+            assert_array_equal(a, b)
+        assert got[0][0, 1, 1] == 11 and got[3][0, 1, 1]
 
     def test_stack_of_one_matches_run_labt(self, rng):
         img = rng.integers(0, 256, (40, 56), dtype=np.uint8)

@@ -491,11 +491,14 @@ class TestStatistics:
     def test_variance_constant_zero(self):
         assert variance(np.full((7, 3), 42, np.uint8)) == 0.0
 
-    def test_variance_matches_two_pass_oracle(self, rng):
-        for _ in range(20):
-            img = rng.integers(0, 256, (13, 17), dtype=np.uint8)
+    @pytest.mark.parametrize("shape", [(13, 17), (700, 300), (257, 5), (3, 140_000)])
+    def test_variance_matches_two_pass_oracle(self, rng, shape):
+        # bands hold at most 256 rows and about 2**17 pixels: taller and
+        # wider images take several, and rows wider than 2**17 one each
+        fills = [rng.integers(0, 256, shape, dtype=np.uint8), np.zeros(shape, np.uint8), np.full(shape, 255, np.uint8)]
+        for img in fills:
             expected = variance_two_pass(img)
-            assert variance(img) == pytest.approx(expected, rel=1e-9)
+            assert variance(img) == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
     def test_variance_invariant_under_reflection(self, rng):
         img = rng.integers(0, 256, (9, 9), dtype=np.uint8)

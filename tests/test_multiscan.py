@@ -10,7 +10,7 @@ import labt.engine
 from labt.engine import LabtConfig, run_labt
 from labt.multiscan import ORIENTATIONS, run_multiscan
 from labt.thresholders import Adcdf, MeanK, Otsu
-from helpers import assert_band_levels, assert_same_result
+from helpers import assert_bands, assert_same_result, logging_selections
 
 # seeded-search instance where the flipped scans clamp differently and the
 # union strictly grows the foreground (verified by direct comparison below)
@@ -150,10 +150,12 @@ class TestMatchesThreeRuns:
         ids=["aligned", "padded", "one_row", "one_column", "one_column_padded", "one_band_per_row"],
     )
     def test_one_wavefront_for_three_scans(self, rng, monkeypatch, shape, block, grid, bands, base_stages):
-        calls = {"_scan": [], "_select": [], "select_threshold": []}
+        calls = {"_scan": [], "select_threshold": []}
         for name, log in calls.items():
             original = getattr(labt.engine, name)
             monkeypatch.setattr(labt.engine, name, lambda *a, f=original, log=log: log.append(a) or f(*a))
+        selections = logging_selections(monkeypatch, labt.engine)
+        monkeypatch.setattr(labt.engine, "histogram", None)  # Otsu counts its pages in the base stage
         img = rng.integers(0, 256, shape, dtype=np.uint8)
         ms = run_multiscan(img, LabtConfig(block_w=block, block_h=block))
         rows, cols = grid
@@ -163,8 +165,34 @@ class TestMatchesThreeRuns:
         # an aligned grid shares one base stage and one global seed; a padded
         # one runs both per orientation. A base stage makes one selection per
         # band of max(1, 2**16 // (cols * 256)) block rows: one band here, but
-        # a row each when 263 columns are too wide to share one.
-        assert [a[1].shape[1] for a in calls["_select"]] == bands * base_stages
+        # a row each when 263 columns are too wide to share one. Noise bands
+        # hold more levels than 8x8 blocks have pixels, so those pass pixels.
+        assert [count for _, count, _ in selections] == bands * base_stages
         assert [a[1].shape for a in calls["select_threshold"]] == [(256,)] * base_stages
         pages = [run.padded for run in ms.runs[:base_stages]]
-        assert_band_levels(pages, ms.runs[0].grid, [(a[1].shape[1], a[2]) for a in calls["_select"]])
+        assert_bands(pages, ms.runs[0].grid, selections, lambda levels: len(levels) <= block * block)
+
+    @pytest.mark.parametrize("method", [Adcdf(), MeanK()], ids=["adcdf", "meank"])
+    @pytest.mark.parametrize(
+        "shape, block, bands, base_stages",
+        [((48, 64), 16, [12], 1), ((45, 61), 16, [12], 3), ((16, 2104), 8, [526], 1)],
+        ids=["aligned", "padded", "wide"],
+    )
+    def test_pixel_bands_take_one_histogram_per_base_stage(
+        self, rng, monkeypatch, method, shape, block, bands, base_stages
+    ):
+        histograms = []
+        original = labt.engine.histogram
+        monkeypatch.setattr(labt.engine, "histogram", lambda page: histograms.append(page) or original(page))
+        selections = logging_selections(monkeypatch, labt.engine)
+        img = rng.integers(0, 256, shape, dtype=np.uint8)
+        ms = run_multiscan(img, LabtConfig(method, block, block))
+        # blocks of at most 256 pixels pass them in bands of
+        # max(1, 2**16 // (cols * bh * bw)) block rows, whatever the levels,
+        # and the global seed counts each base stage's page once
+        assert [count for _, count, _ in selections] == bands * base_stages
+        pages = [run.padded for run in ms.runs[:base_stages]]
+        assert_bands(pages, ms.runs[0].grid, selections, lambda levels: False)
+        assert len(histograms) == base_stages
+        for got, page in zip(histograms, pages):
+            assert np.shares_memory(got, page) and got.shape == page.shape

@@ -349,6 +349,66 @@ class TestBatchedSelection:
             select_threshold(method, np.stack([hist_of([5]), row]))
 
 
+@st.composite
+def pixel_rows(draw):
+    """An ``(n, P)`` uint8 array of shuffled block pixels, 4 to 300 a row:
+    rows of levels from one small pool, noise rows, single-level rows, and
+    rows of three evenly spaced levels whose counts mirror, so that their
+    Otsu splits tie exactly."""
+    size = draw(st.integers(4, 300))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    level = st.sampled_from([0, 255]) | st.integers(0, 255)
+    pool = draw(st.lists(level, min_size=1, max_size=40, unique=True))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["levels", "noise", "single", "tie"]))
+        if kind == "levels":
+            row = gen.choice(pool, size)
+        elif kind == "noise":
+            row = gen.integers(0, 256, size)
+        elif kind == "single":
+            row = np.full(size, draw(level))
+        else:
+            gap = draw(st.integers(1, 127))
+            start = draw(st.integers(0, 255 - 2 * gap))
+            side = draw(st.integers(1, (size - 1) // 2))
+            row = np.repeat([start, start + gap, start + 2 * gap], [side, size - 2 * side, side])
+        rows.append(gen.permutation(row))
+    return np.array(rows, np.uint8)
+
+
+PIXEL_METHODS = st.one_of(
+    st.just(Otsu()),
+    st.builds(Adcdf, st.sampled_from([1e-300, 1e-9, 1 - 1e-9, 1 - 2**-53]) | st.floats(0, 1).filter(lambda r: 0 < r < 1)),
+    st.builds(MeanK, st.sampled_from([1e308, -1e308, 0.0]) | st.floats(-3, 3)),
+)
+
+
+class TestPixelSelection:
+    """``_select_pixels`` against the selection from the rows' histograms."""
+
+    @settings(max_examples=300)
+    @given(PIXEL_METHODS, pixel_rows())
+    def test_matches_selection_from_histograms(self, method, pixels):
+        got = labt.thresholders._select_pixels(method, pixels)
+        want = select_threshold(method, np.stack([hist_of(row) for row in pixels]))
+        assert got.dtype == np.int64 and got.tolist() == want.tolist()
+
+    def test_exact_ties_go_to_the_smallest_split(self):
+        # TestBatchedSelection's exactly tied rows, their counts scaled to 18
+        # pixels: scaling every count scales every score alike
+        pixels = np.array([[2] * 6 + [16] * 10 + [37] * 2, [17] * 2 + [26] * 4 + [32] * 12], np.uint8)
+        assert labt.thresholders._select_pixels(Otsu(), pixels).tolist() == [3, 18]
+        assert [otsu_exhaustive(hist_of(row)) for row in pixels] == [3, 18]
+
+    @pytest.mark.parametrize("method", [Otsu(), Adcdf(0.99), MeanK(1e308)])
+    def test_single_level_rows_return_their_level(self, method):
+        pixels = np.array([[0] * 4, [255] * 4, [77] * 4], np.uint8)
+        # every split of such a row scores 0, but none is rechecked in integers
+        with mock.patch.object(labt.thresholders, "_exact_best", side_effect=AssertionError):
+            assert labt.thresholders._select_pixels(method, pixels).tolist() == [0, 255, 77]
+
+
 class TestBinarizeGlobal:
     def test_convention(self):
         out = binarize_global(np.array([[0, 255]], np.uint8), 128)
