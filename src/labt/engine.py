@@ -133,19 +133,20 @@ def _base_thresholds(blocks, method: ThresholdMethod):
 
     The block rows go in bands of about ``_BAND_ELEMENTS`` bins or pixels,
     at least one row, and one selection thresholds a band's blocks from
-    whichever are the fewer values, histograms or pixels. One
-    ``np.bincount`` counts a band's pixels once, one column sum gives both
-    its share of the page histogram and its occupied levels, and
-    :func:`_select` takes just those levels' counts. Otsu counts every band
-    but passes its pixels to :func:`_select_pixels` where a block holds
-    fewer pixels than the band holds levels. Adcdf and MeanK pass the pixels
-    of blocks no larger than a histogram's 256 bins and count nothing.
-    Returns the ``(rows, cols)`` thresholds and the padded image's
-    histogram, or None where no band was counted.
+    whichever are the fewer values, histograms or pixels. Blocks of at most
+    64 pixels for Otsu, or 256, a histogram's bins, for Adcdf and MeanK,
+    pass their pixels to :func:`_select_pixels` and count nothing. Larger
+    blocks are counted: one ``np.bincount`` counts a band's pixels once,
+    one column sum gives both its share of the page histogram and its
+    occupied levels, and :func:`_select` takes just those levels' counts.
+    Otsu blocks of 65 to 256 pixels still pass their pixels where a block
+    holds fewer pixels than the band holds levels. Returns the ``(rows,
+    cols)`` thresholds and the padded image's histogram, or None where no
+    band was counted.
     """
     rows, bh, cols, bw = blocks.shape
     size = bh * bw
-    counted = isinstance(method, Otsu) or size > 256
+    counted = size > (64 if isinstance(method, Otsu) else 256)
     band = max(1, _BAND_ELEMENTS // (cols * (max(256, size) if counted else size)))
     base = np.empty((rows, cols), dtype=np.int32)
     page = None

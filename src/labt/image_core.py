@@ -32,12 +32,6 @@ _TOKEN = re.compile(rb"0*([0-9]*)[^\s#]*")
 # P2 samples are parsed in chunks of about this many payload bytes
 _P2_CHUNK = 1 << 16
 
-# byte kinds in a P2 payload: 0 separator, 1 "0", 2 "1".."9", 3 any other
-_P2_KIND = np.full(256, 3, dtype=np.uint8)
-_P2_KIND[list(_WHITESPACE)] = 0
-_P2_KIND[ord("0")] = 1
-_P2_KIND[ord("1") : ord("9") + 1] = 2
-
 
 class PgmError(ValueError):
     """Raised for malformed PGM data."""
@@ -187,35 +181,44 @@ def _p2_values(chunk: bytes, limit: int, maxval: int) -> np.ndarray:
     The chunk holds whole tokens and no comment. A bad token raises
     :class:`PgmError`; of several, the first in stream order is reported.
     """
-    a = np.frombuffer(chunk, dtype=np.uint8)
-    kind = _P2_KIND[a]
-    in_token = kind != 0
-    edges = np.flatnonzero(np.diff(in_token, prepend=False, append=False))
+    # With a separator on each side, byte i of the chunk is a[i + 1], so
+    # a[e] is the last byte of the token that ends before byte e. uint8
+    # differences wrap: a digit has d < 10, a separator other than " " a - 9 < 5.
+    a = np.frombuffer(b" " + chunk + b" ", dtype=np.uint8)
+    d = a - np.uint8(ord("0"))
+    digit = d < 10
+    token = a != ord(" ")
+    token &= a - np.uint8(9) >= 5
     # samples past the limit are never examined
-    starts, ends = edges[0::2][:limit], edges[1::2][:limit]
+    ends = np.flatnonzero(token[:-1] > token[1:])[:limit]
     stop = int(ends[-1]) if len(ends) else 0
 
-    values = np.zeros(len(ends), dtype=np.int16)
-    for place in range(3):
-        # a token of `place` bytes or fewer takes no digit here, so any index serves
-        digit = a.take(ends - 1 - place, mode="clip").astype(np.int16) - ord("0")
-        values += np.where(ends - starts > place, digit * 10**place, 0)
-    # A token is bad if its last three digits exceed maxval, if a nonzero
-    # digit precedes its last three (so it exceeds 999), or if it holds a
-    # byte that is neither a digit nor a separator. The first bad token in
+    # Each byte's value as the last of up to three digits, each place taken
+    # only within a run of digits: w of two places, x of three. The int16
+    # loop is named, as numpy 1.x would multiply uint8 by a small scalar in uint8.
+    u = d * digit
+    w = u.copy()
+    w[1:] += u[:-1] * np.uint8(10)
+    w *= digit
+    x = np.zeros(len(a), dtype=np.int16)
+    np.multiply(w[:-1], 10, out=x[1:], dtype=np.int16)
+    x += u
+    values = x.take(ends)
+    # A token is bad if its last three digits exceed maxval, if it holds a
+    # byte that is neither a digit nor a separator, or if a nonzero digit
+    # precedes three more (so it exceeds 999). The first bad token in
     # stream order is reported; the count of token ends before a byte is
     # the index of the token holding it.
     bad = values > maxval
-    m = max(stop - 3, 0)
-    nonzero_before_last3 = (
-        (kind[:m] == 2) & in_token[1 : m + 1] & in_token[2 : m + 2] & in_token[3 : m + 3]
-    )
-    for mask in (kind[:stop] == 3, nonzero_before_last3):
-        if mask.any():
-            bad[np.searchsorted(ends, mask.argmax())] = True
+    wrong = token[1 : stop + 1] > digit[1 : stop + 1]
+    m = max(stop - 3, 0)  # a byte past it has no three digits after it in its token
+    wrong[:m] |= (u[1 : m + 1] != 0) & digit[2 : m + 2] & digit[3 : m + 3] & digit[4 : m + 4]
+    if wrong.any():
+        bad[np.searchsorted(ends, wrong.argmax())] = True
     if bad.any():
-        k = bad.argmax()
-        _sample_value(_TOKEN.match(chunk, starts[k], ends[k]), maxval)  # raises the token's PgmError
+        end = int(ends[bad.argmax()])
+        start = max(chunk.rfind(c, 0, end) for c in _WHITESPACE) + 1
+        _sample_value(_TOKEN.match(chunk, start, end), maxval)  # raises the token's PgmError
     return values
 
 

@@ -54,7 +54,7 @@ class MeanK:
 
 
 ThresholdMethod = Otsu | Adcdf | MeanK
-_BAND = 32  # image rows per Niblack band
+_BAND = 64  # image rows per Niblack band
 _MAX_TOTAL = np.iinfo(np.int64).max // 255**2  # sums of count * level**2 fit int64
 _EXACT_TOTAL = math.isqrt(np.iinfo(np.int64).max // 255)  # Otsu's S*w0 - N*s0 fits int64
 _INT32_TOTAL = math.isqrt(np.iinfo(np.int32).max // 255)  # ... fits int32
@@ -243,13 +243,15 @@ def binarize_global(img, t: int) -> np.ndarray:
 def _window_sums(vals, reach: int) -> np.ndarray:
     """Sums of ``vals`` along its last axis over windows reaching ``reach`` to
     each side, clipped at the ends: with ``reach + 1`` zeros in front of the
-    int64 prefix sums and ``reach`` copies of the total behind, each sum is
-    the difference of two slices."""
+    prefix sums and ``reach`` copies of the total behind, each sum is the
+    difference of two slices. The sums keep the type of ``vals``; in uint32
+    the prefix sums may wrap, but a window sum that fits is exact, as a
+    difference modulo 2**32."""
     side = vals.shape[-1]
     span = min(reach, side)  # every reach past the side clips alike
-    table = np.zeros(vals.shape[:-1] + (side + 2 * span + 1,), dtype=np.int64)
+    table = np.zeros(vals.shape[:-1] + (side + 2 * span + 1,), dtype=vals.dtype)
     body = table[..., span + 1 : span + 1 + side]
-    np.cumsum(vals, axis=-1, dtype=np.int64, out=body)
+    np.cumsum(vals, axis=-1, dtype=vals.dtype, out=body)
     table[..., span + 1 + side :] = body[..., -1:]
     return table[..., 2 * span + 1 :] - table[..., :side]
 
@@ -258,44 +260,53 @@ def niblack_binarize(img, params: NiblackParams = NiblackParams()) -> np.ndarray
     """Per-pixel thresholding at local mean + k * local stddev.
 
     Statistics come from the window centered at each pixel, clipped at the
-    image borders. Window sums are exact int64 differences of prefix sums,
+    image borders. Window sums are exact integer differences of prefix sums,
     so runtime is independent of the window size. The image is labeled in
     bands of ``_BAND`` rows from one running window row, the column sums of
     the last window: each row adds the image row that enters its window and
-    takes away the one that leaves, so memory stays a few bands.
+    takes away the one that leaves, so memory stays a few bands. The sums
+    are uint32 while a window's sum of squares fits, else int64.
     """
     arr = as_gray(img)
     height, width = arr.shape
     reach = params.window // 2
     span = min(reach, height)  # every reach past the height clips alike
-    window = np.zeros((2, width), np.int64)  # sums of pixels and squares, row -1's
+    dtype = np.uint32 if 255**2 * params.window**2 < 2**32 else np.int64
+    window = np.zeros((2, width), dtype)  # sums of pixels and squares, row -1's
     for r in range(0, span, _BAND):
         rows = arr[r : min(r + _BAND, span)]
-        window[0] += rows.sum(axis=0, dtype=np.int64)
-        window[1] += np.square(rows, dtype=np.int64).sum(axis=0)
+        window[0] += rows.sum(axis=0, dtype=dtype)
+        window[1] += np.square(rows, dtype=dtype).sum(axis=0, dtype=dtype)
     columns = _window_sums(np.ones(width, np.int64), reach)  # the pixels per window, one row's
     binary = np.empty(arr.shape, dtype=bool)
     for top in range(0, height, _BAND):
         bottom = min(top + _BAND, height)
         # row y's window gains row y + span and loses row y - span - 1, where
-        # those exist: the first band rows gain, the last ones lose
+        # those exist: the first band rows gain, the last ones lose; in
+        # uint32 a step may wrap, the running sums it leads to do not
         enter = arr[top + span : bottom + span]
         leave = arr[max(top - span - 1, 0) : max(bottom - span - 1, 0)]
         n = bottom - top
-        step = np.zeros((2, n, width), np.int64)
+        step = np.zeros((2, n, width), dtype)
         step[:, 0] = window
         step[0, : len(enter)] += enter
-        step[1, : len(enter)] += np.square(enter, dtype=np.int64)
+        step[1, : len(enter)] += np.square(enter, dtype=dtype)
         step[0, n - len(leave) :] -= leave
-        step[1, n - len(leave) :] -= np.square(leave, dtype=np.int64)
-        np.cumsum(step, axis=1, out=step)
+        step[1, n - len(leave) :] -= np.square(leave, dtype=dtype)
+        np.cumsum(step, axis=1, dtype=dtype, out=step)
         window = step[:, -1].copy()
         total, squares = _window_sums(step, reach)
         y = np.arange(top, bottom)
         area = (np.minimum(y + span + 1, height) - np.maximum(y - span, 0))[:, None] * columns
+        # thresh = mu + k * sqrt(max(var, 0)), var = squares / area - mu * mu,
+        # each operation in place, in that order
         mu = total / area
-        var = squares / area - mu * mu
+        thresh = squares / area
+        thresh -= mu * mu
+        np.clip(thresh, 0.0, None, out=thresh)
+        np.sqrt(thresh, out=thresh)
         with np.errstate(over="ignore"):  # a huge k gives +-inf: no/all foreground
-            thresh = mu + params.k * np.sqrt(np.clip(var, 0.0, None))
+            thresh *= params.k
+            thresh += mu
         np.greater_equal(arr[top:bottom], thresh, out=binary[top:bottom])
     return binary

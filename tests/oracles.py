@@ -88,22 +88,26 @@ def admissible_interval(t_neighbor, border, mode):
 def niblack_naive(img, window, k):
     """Per-pixel mean/stddev over the border-clipped window, double loop."""
     arr = np.asarray(img)
+    out = np.zeros(arr.shape, dtype=bool)
+    for y, x in np.ndindex(arr.shape):
+        out[y, x] = niblack_pixel(arr, y, x, window, k)
+    return out
+
+
+def niblack_pixel(arr, y, x, window, k):
+    """niblack_naive's label of the one pixel (y, x) of ``arr``."""
     height, width = arr.shape
     reach = window // 2
-    out = np.zeros(arr.shape, dtype=bool)
-    for y in range(height):
-        for x in range(width):
-            ys, ye = max(0, y - reach), min(height, y + reach + 1)
-            xs, xe = max(0, x - reach), min(width, x + reach + 1)
-            win = arr[ys:ye, xs:xe].astype(np.int64)
-            n = win.size
-            s = int(win.sum())
-            sq = int((win * win).sum())
-            mu = s / n
-            var = sq / n - mu * mu
-            thresh = mu + k * math.sqrt(var if var > 0 else 0.0)
-            out[y, x] = arr[y, x] >= thresh
-    return out
+    ys, ye = max(0, y - reach), min(height, y + reach + 1)
+    xs, xe = max(0, x - reach), min(width, x + reach + 1)
+    win = arr[ys:ye, xs:xe].astype(np.int64)
+    n = win.size
+    s = int(win.sum())
+    sq = int((win * win).sum())
+    mu = s / n
+    var = sq / n - mu * mu
+    thresh = mu + k * math.sqrt(var if var > 0 else 0.0)
+    return bool(arr[y, x] >= thresh)
 
 
 def border_disagreements(c, border, t_ref):

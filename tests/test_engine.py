@@ -306,40 +306,52 @@ class TestRunLabt:
         assert res.non_overlap_count == 0
 
     @pytest.mark.parametrize("seed_global", [True, False])
-    def test_one_selection_per_block_row_and_no_histogram(self, monkeypatch, rng, seed_global):
-        seeds = []
+    def test_otsu_selects_once_per_band_and_counts_only_large_blocks(self, monkeypatch, rng, seed_global):
+        seeds, pages = [], []
 
         def seeding(method, hist):
             seeds.append(np.shape(hist))
             return select_threshold(method, hist)
 
+        def counting(img):
+            pages.append(img)
+            return histogram(img)
+
         def forbidden(img):
-            raise AssertionError("run_labt must not call histogram for Otsu")
+            raise AssertionError("only the global seed may call histogram")
 
         bands = logging_selections(monkeypatch, labt.engine)
         monkeypatch.setattr(labt.engine, "select_threshold", seeding)
-        monkeypatch.setattr(labt.engine, "histogram", forbidden)
+        monkeypatch.setattr(labt.engine, "histogram", counting)
         monkeypatch.setattr(labt.image_core, "histogram", forbidden)
-        # A band holds max(1, 2**16 // (cols * max(256, bh * bw))) block rows.
-        # 4 x 9 blocks of 8x16 fit one band of up to 28 rows; 5 x 64 blocks of
-        # 8x8 take bands of 4 rows, the last partial; 3 x 263 blocks of 8x8
-        # take one band per row. Uniform noise spreads wide, so the auto
-        # grid picks 16x16 blocks: 4 x 5 of them, one band. A band passes
-        # its pixels when it holds more levels than a block has pixels:
-        # noise holds up to 256, and its first `few` pixel rows, taken
-        # modulo 40, at most 40, so their 8x8 bands stay dense.
+        # Blocks of more than 64 pixels are counted in bands of
+        # max(1, 2**16 // (cols * 256)) block rows: 4 x 9 blocks of 8x16 fit
+        # one band, 5 x 64 take bands of 4 rows, the last partial, and 2 x 263
+        # one band per row; 6 x 9 blocks of 8x9 fit one band, and on noise
+        # the auto grid picks 16x16 blocks, 4 x 5 of them, one band. A
+        # counted band passes its pixels when it holds more levels than a
+        # block has pixels: noise holds up to 256, and its first `few` pixel
+        # rows, taken modulo 40, at most 40, so the 64 rows of the first 8x16
+        # band stay dense. Blocks of 64 pixels or fewer pass their pixels in
+        # bands of max(1, 2**16 // (cols * 64)) block rows, whatever the
+        # levels: 5 x 64 blocks of 8x8 fit one band, 3 x 263 one band of 3
+        # rows, and the global seed then counts the padded page once.
         cases = [
             ((50, 70), (8, 16), 0, [36]),
-            ((40, 512), (8, 8), 0, [256, 64]),
-            ((40, 512), (8, 8), 32, [256, 64]),
-            ((40, 512), (8, 8), 40, [256, 64]),
-            ((20, 2100), (8, 8), 0, [263] * 3),
+            ((80, 512), (8, 16), 0, [256, 64]),
+            ((80, 512), (8, 16), 64, [256, 64]),
+            ((20, 2100), (8, 16), 0, [263] * 2),
+            ((50, 70), (8, 9), 0, [54]),
             ((50, 70), (None, None), 0, [20]),
+            ((40, 512), (8, 8), 0, [320]),
+            ((40, 512), (8, 8), 40, [320]),
+            ((20, 2100), (8, 8), 0, [789]),
         ]
         paths = set()
         for shape, (bw, bh), few, sizes in cases:
             bands.clear()
             seeds.clear()
+            pages.clear()
             img = rng.integers(0, 256, shape, dtype=np.uint8)
             img[:few] %= 40
             res = run_labt(img, LabtConfig(block_w=bw, block_h=bh, seed_global=seed_global))
@@ -347,8 +359,12 @@ class TestRunLabt:
             # the page's seed is the one selection from a full histogram
             assert seeds == [(256,)] * seed_global
             size = res.grid.block_w * res.grid.block_h
-            assert_bands([res.padded], res.grid, bands, lambda levels: len(levels) <= size)
+            counted = size > 64
+            assert_bands([res.padded], res.grid, bands, lambda levels: counted and len(levels) <= size)
             paths.update(path for path, _, _ in bands)
+            assert len(pages) == (seed_global and not counted)
+            for page in pages:  # the padded page itself, not a copy
+                assert page.shape == res.padded.shape and np.shares_memory(page, res.padded)
         assert paths == {"dense", "pixels"}
 
     @pytest.mark.parametrize("method", [Adcdf(), MeanK()], ids=["adcdf", "meank"])

@@ -334,6 +334,23 @@ class TestReadPgmP2:
             read_pgm(b"P2 2 1 255 1" + byte + b"2 3")
         assert str(info.value) == f"non-numeric sample token {b'1' + byte + b'2'!r}"
 
+    def test_every_byte_value_matches_loop_oracle(self):
+        # each byte alone, inside a token and right after one; the parse
+        # tells digits and separators by wrapping uint8 differences
+        for value in range(256):
+            byte = bytes([value])
+            for payload in (b"7 " + byte + b" 9", b"7 1" + byte + b"2 9", b"7 12" + byte + b" 9 4"):
+                data = b"P2 3 1 255 " + payload + b"\n"
+                want = pgm_outcome(read_pgm_loop, data)
+                for chunk in (labt.image_core._P2_CHUNK, 1, 7):
+                    with mock.patch.object(labt.image_core, "_P2_CHUNK", chunk):
+                        got = pgm_outcome(read_pgm, data)
+                    if isinstance(want, str):
+                        assert got == want, (data, chunk)
+                    else:
+                        assert not isinstance(got, str), (data, chunk, got)
+                        assert_array_equal(got, want, err_msg=repr((data, chunk)))
+
     def test_all_six_whitespace_bytes_separate(self):
         data = b"P2 7 1 255 0 1\t2\n3\r4\x0b5\x0c6"
         assert read_pgm(data).tolist() == [[0, 1, 2, 3, 4, 5, 6]]

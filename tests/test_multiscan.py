@@ -140,37 +140,45 @@ class TestMatchesThreeRuns:
     @pytest.mark.parametrize(
         "shape, block, grid, bands, base_stages",
         [
-            ((48, 64), 16, (3, 4), [12], 1),
-            ((45, 61), 16, (3, 4), [12], 3),
-            ((8, 40), 8, (1, 5), [5], 1),
-            ((40, 8), 8, (5, 1), [5], 1),
-            ((43, 8), 8, (6, 1), [6], 3),
-            ((16, 2104), 8, (2, 263), [263] * 2, 1),
+            ((48, 64), (16, 16), (3, 4), [12], 1),
+            ((45, 61), (16, 16), (3, 4), [12], 3),
+            ((8, 40), (8, 8), (1, 5), [5], 1),
+            ((40, 8), (8, 8), (5, 1), [5], 1),
+            ((43, 8), (8, 8), (6, 1), [6], 3),
+            ((32, 2104), (8, 16), (2, 263), [263] * 2, 1),
+            ((16, 2104), (8, 8), (2, 263), [526], 1),
         ],
-        ids=["aligned", "padded", "one_row", "one_column", "one_column_padded", "one_band_per_row"],
+        ids=["aligned", "padded", "one_row", "one_column", "one_column_padded", "one_band_per_row", "wide"],
     )
     def test_one_wavefront_for_three_scans(self, rng, monkeypatch, shape, block, grid, bands, base_stages):
-        calls = {"_scan": [], "select_threshold": []}
+        calls = {"_scan": [], "select_threshold": [], "histogram": []}
         for name, log in calls.items():
             original = getattr(labt.engine, name)
             monkeypatch.setattr(labt.engine, name, lambda *a, f=original, log=log: log.append(a) or f(*a))
         selections = logging_selections(monkeypatch, labt.engine)
-        monkeypatch.setattr(labt.engine, "histogram", None)  # Otsu counts its pages in the base stage
         img = rng.integers(0, 256, shape, dtype=np.uint8)
-        ms = run_multiscan(img, LabtConfig(block_w=block, block_h=block))
+        ms = run_multiscan(img, LabtConfig(block_w=block[0], block_h=block[1]))
         rows, cols = grid
         assert (ms.runs[0].grid.rows, ms.runs[0].grid.cols) == grid
         # one scan takes the base thresholds of all three grids
         assert [a[1].shape for a in calls["_scan"]] == [(3, rows, cols)]
-        # an aligned grid shares one base stage and one global seed; a padded
+        # An aligned grid shares one base stage and one global seed; a padded
         # one runs both per orientation. A base stage makes one selection per
-        # band of max(1, 2**16 // (cols * 256)) block rows: one band here, but
-        # a row each when 263 columns are too wide to share one. Noise bands
-        # hold more levels than 8x8 blocks have pixels, so those pass pixels.
+        # band. Blocks of more than 64 pixels are counted in bands of
+        # max(1, 2**16 // (cols * 256)) block rows: one band here, but a row
+        # each when 263 columns are too wide to share one. Their noise bands
+        # hold more levels than 8x16 blocks have pixels, so those pass
+        # pixels. Blocks of 8x8 pass their pixels in bands of
+        # max(1, 2**16 // (cols * 64)) block rows and count nothing, so the
+        # global seed counts each base stage's page once.
         assert [count for _, count, _ in selections] == bands * base_stages
         assert [a[1].shape for a in calls["select_threshold"]] == [(256,)] * base_stages
+        size = block[0] * block[1]
         pages = [run.padded for run in ms.runs[:base_stages]]
-        assert_bands(pages, ms.runs[0].grid, selections, lambda levels: len(levels) <= block * block)
+        assert_bands(pages, ms.runs[0].grid, selections, lambda levels: size > 64 and len(levels) <= size)
+        assert len(calls["histogram"]) == (0 if size > 64 else base_stages)
+        for (got,), page in zip(calls["histogram"], pages):
+            assert np.shares_memory(got, page) and got.shape == page.shape
 
     @pytest.mark.parametrize("method", [Adcdf(), MeanK()], ids=["adcdf", "meank"])
     @pytest.mark.parametrize(

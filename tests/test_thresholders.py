@@ -21,7 +21,7 @@ from labt.thresholders import (
     niblack_binarize,
     select_threshold,
 )
-from oracles import niblack_naive, otsu_exhaustive, select_threshold_scalar
+from oracles import niblack_naive, niblack_pixel, otsu_exhaustive, select_threshold_scalar
 
 
 def hist_of(values):
@@ -509,6 +509,37 @@ class TestNiblack:
             tracemalloc.stop()
         # the mask plus a few bands of int64 window sums and float statistics
         assert peak < 2.5e6
+
+    def test_uint32_row_prefix_sums_wrap_exactly(self, rng):
+        # 31 rows of 255**2 sum to about 2.0e6 a column, so the prefix sums
+        # of squares along a row pass 2**32 near column 2,130; the window
+        # sums, differences modulo 2**32, stay exact past it
+        img = np.full((32, 2200), 255, np.uint8)
+        dark = rng.random(img.shape) < 0.01
+        img[dark] = rng.integers(0, 256, np.count_nonzero(dark))
+        assert int(np.square(img[:31], dtype=np.int64).sum()) > 2**32
+        got = niblack_binarize(img, NiblackParams(window=31, k=0.5))
+        assert_array_equal(got, niblack_naive(img, 31, 0.5))
+
+    @pytest.mark.parametrize("window", [257, 259], ids=["uint32", "int64"])
+    def test_largest_windows_either_side_of_uint32(self, rng, window):
+        # 255**2 * 257**2 < 2**32 < 255**2 * 259**2. Rows and columns
+        # 129..170 of a 300x300 page have whole windows at either size, and
+        # with 10% of pixels in 240..254 they hold sums of squares within 1%
+        # of 255**2 * window**2, so at 259 they pass 2**32. Pixels of
+        # 249..254 lie between mu - 2 * sigma and mu there, so a wrong sum of
+        # squares moves their labels.
+        img = np.full((300, 300), 255, np.uint8)
+        dark = rng.random(img.shape) < 0.1
+        img[dark] = rng.integers(240, 255, np.count_nonzero(dark))
+        assert int(np.square(img[21:280, 21:280], dtype=np.int64).sum()) > 2**32  # pixel (150, 150)'s at 259
+        got = niblack_binarize(img, NiblackParams(window=window, k=-2.0))
+        sampled = [(y, x) for y in range(129, 171) for x in range(129, 171, 2)] + [(0, 0), (299, 150)]
+        want = [niblack_pixel(img, y, x, window, -2.0) for y, x in sampled]
+        assert [got[p] for p in sampled] == want
+        # darker pixels on both sides of the threshold
+        labels = {w for p, w in zip(sampled, want) if img[p] < 255}
+        assert labels == {False, True}
 
     @pytest.mark.parametrize("window", [2**65 + 1, 2**127 + 1])
     def test_window_past_int64_clips_like_the_whole_image(self, rng, window):
