@@ -78,13 +78,8 @@ class NiblackParams:
 def _otsu_thresholds(counts: np.ndarray, levels: np.ndarray, total: np.ndarray) -> np.ndarray:
     # Split t (1..255) puts levels < t in class 0. Only t with counts[t-1] > 0
     # and pixels at or above t can win, smallest t on ties, so only the
-    # occupied levels are scored, as t = levels[j] + 1. With N, S a region's
-    # count and sum and w0, s0 the cumsums, a split scores
-    # (S*w0 - N*s0)**2 / (w0*(N - w0)), N**2 times the between-class
-    # variance. The difference is exact, in the narrowest of int32, int64 and
-    # Python ints that 255 * N**2 fits; squaring and dividing in float64
-    # round a few times, so the score is within ~1e-15 of exact and
-    # near-best ties are rechecked in integers.
+    # occupied levels are scored, as t = levels[j] + 1. The cumsums are the
+    # narrowest of int32, int64 and Python ints that 255 * N**2 fits.
     if levels.size < 2:  # no split: the single-level rule picks every region
         return np.zeros(counts.shape[1], np.int64)
     most = total.max()
@@ -94,56 +89,51 @@ def _otsu_thresholds(counts: np.ndarray, levels: np.ndarray, total: np.ndarray) 
     else:
         dtype = np.int64 if most <= _EXACT_TOTAL else object
         cum, cum_sum = (np.cumsum(c, axis=0, dtype=dtype) for c in (counts, counts * levels[:, None]))
-    w0, s0, n, s = cum[:-1], cum_sum[:-1], cum[-1:], cum_sum[-1:]
+    j = _otsu_best(cum[:-1], cum_sum[:-1], cum[-1:], cum_sum[-1:], counts[:-1] > 0, axis=0)
+    return levels[j] + 1
+
+
+def _otsu_best(w0, s0, n, s, split, axis: int) -> np.ndarray:
+    """The index along ``axis`` (0 or 1) of each region's best Otsu split,
+    the first on ties. ``w0`` and ``s0`` are the splits' class-0 counts and
+    sums, ``n`` and ``s`` the regions' counts and sums, all broadcasting to
+    2-D in an integer type that keeps ``S*w0 - N*s0`` exact, and ``split``
+    masks the splits that are thresholds.
+
+    A split scores ``(S*w0 - N*s0)**2 / (w0*(N - w0))``, ``N**2`` times the
+    between-class variance, 0 where a class is empty. In float64 that is
+    within ~1e-15 of exact, so the splits within 1e-13 of a region's best
+    are rechecked in integers. A masked split never wins, so it only leaves
+    that near-best set: an empty level repeats its predecessor's score (0
+    before the first level), and a split inside a run of equal pixels never
+    scores above the best split between levels (moving the run to the class
+    with the nearer mean loses no score).
+    """
     score = (s * w0 - n * s0).astype(np.float64)
     score *= score
-    score /= np.maximum((w0 * (n - w0)).astype(np.float64), 1)  # 0 where a class is empty
-    # an empty level repeats its predecessor's score (0 before the first
-    # level), so the best is an occupied level's, and only those are near it
-    near = score >= score.max(axis=0) * (1 - 1e-13)
-    near &= counts[:-1] > 0
-    best = levels[near.argmax(axis=0)] + 1
-    for col in np.flatnonzero(near.sum(axis=0, dtype=np.uint8) > 1):  # at most 255 levels
-        splits = [(w0[j, col], s0[j, col], levels[j] + 1) for j in np.flatnonzero(near[:, col])]
-        best[col] = _exact_best(int(total[col]), int(s[0, col]), splits)
+    score /= np.maximum((w0 * (n - w0)).astype(np.float64), 1)
+    near = score >= score.max(axis=axis, keepdims=True) * (1 - 1e-13)
+    near &= split
+    best = near.argmax(axis=axis)
+    ties = np.flatnonzero(near.sum(axis=axis, dtype=np.uint8) > 1)  # at most 255 splits
+    if ties.size:  # one region a row, its splits along the row
+        near, w0, s0, n, s = (a.T if axis == 0 else a for a in np.broadcast_arrays(near, w0, s0, n, s))
+        for r in ties:
+            j = np.flatnonzero(near[r])
+            best[r] = j[_exact_best(int(n[r, 0]), int(s[r, 0]), w0[r, j], s0[r, j])]
     return best
 
 
-def _exact_best(n: int, s: int, splits) -> int:
-    """The threshold of the best of the near-best ``(w0, s0, t)`` splits of a
+def _exact_best(n: int, s: int, w0, s0) -> int:
+    """The index of the best of the near-best splits ``w0``, ``s0`` of a
     region of count ``n`` and sum ``s``, the first on ties: the exact scores
     compare by cross-multiplication."""
     best_num, best_den, best = -1, 1, 0
-    for a0, b0, t in splits:
+    for i, (a0, b0) in enumerate(zip(w0, s0)):
         a0, b0 = int(a0), int(b0)
         num, den = (s * a0 - n * b0) ** 2, a0 * (n - a0)
         if num * best_den > best_num * den:
-            best_num, best_den, best = num, den, t
-    return best
-
-
-def _otsu_sorted(v: np.ndarray) -> np.ndarray:
-    # _otsu_thresholds on the ascending pixels v of each row: the split after
-    # v[i] has w0 = i + 1 and s0 the running sum, in int32 while 255 * P**2
-    # fits (P up to _INT32_TOTAL), and is the threshold v[i] + 1 only where
-    # v[i] < v[i + 1]
-    n, size = v.shape
-    s0 = np.cumsum(v, axis=1, dtype=np.int32)
-    s = s0[:, -1:]
-    w0 = np.arange(1, size, dtype=np.int32)
-    score = (s * w0 - size * s0[:, :-1]).astype(np.float64)
-    score *= score
-    score /= (w0 * (size - w0)).astype(np.float64)
-    # A split inside a run of equal pixels is no threshold, but it never
-    # scores above the best split between levels (moving the run's pixels to
-    # the class with the nearer mean loses no score), so it is dropped from
-    # the near-best set only: that leaves a single-level row no recheck.
-    near = score >= score.max(axis=1, keepdims=True) * (1 - 1e-13)
-    near &= v[:, :-1] < v[:, 1:]
-    best = v[np.arange(n), near.argmax(axis=1)] + 1
-    for row in np.flatnonzero(near.sum(axis=1, dtype=np.uint8) > 1):  # P - 1 < 255 splits
-        splits = [(i + 1, s0[row, i], v[row, i] + 1) for i in np.flatnonzero(near[row])]
-        best[row] = _exact_best(size, int(s[row, 0]), splits)
+            best_num, best_den, best = num, den, i
     return best
 
 
@@ -201,7 +191,13 @@ def _select_pixels(method: ThresholdMethod, pixels: np.ndarray) -> np.ndarray:
     v = pixels.astype(np.int16)  # numpy sorts int16 rows with SIMD, uint8 rows far slower
     v.sort(axis=1)
     if isinstance(method, Otsu):
-        chosen = _otsu_sorted(v)
+        # the split after v[i] has w0 = i + 1 and s0 the running sum, in
+        # int32 while 255 * P**2 fits (P up to _INT32_TOTAL), and is the
+        # threshold v[i] + 1 only where v[i] < v[i + 1]
+        s0 = np.cumsum(v, axis=1, dtype=np.int32)
+        w0 = np.arange(1, size, dtype=np.int32)
+        i = _otsu_best(w0, s0[:, :-1], size, s0[:, -1:], v[:, :-1] < v[:, 1:], axis=1)
+        chosen = v[np.arange(len(v)), i] + 1
     elif isinstance(method, Adcdf):
         # the cdf first reaches rho of a row at v[i], i counting the j in
         # 1..P below rho * P: the comparison _select makes with its cumsums

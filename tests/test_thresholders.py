@@ -404,9 +404,12 @@ class TestPixelSelection:
     @pytest.mark.parametrize("method", [Otsu(), Adcdf(0.99), MeanK(1e308)])
     def test_single_level_rows_return_their_level(self, method):
         pixels = np.array([[0] * 4, [255] * 4, [77] * 4], np.uint8)
-        # every split of such a row scores 0, but none is rechecked in integers
+        # every split of such a row scores 0, but none is rechecked in
+        # integers, from its pixels or from its histogram
+        stack = np.stack([hist_of(row) for row in pixels])
         with mock.patch.object(labt.thresholders, "_exact_best", side_effect=AssertionError):
             assert labt.thresholders._select_pixels(method, pixels).tolist() == [0, 255, 77]
+            assert select_threshold(method, stack).tolist() == [0, 255, 77]
 
 
 class TestBinarizeGlobal:
